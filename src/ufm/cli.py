@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .errors import UfmError, UfmWarning
 from .idw import idw_ufa_fit
-from .inference import mean_loadings, plugin_covariances, standard_errors
-from .output import write_csv, write_json, write_matrix
+from .inference import _level_index, mean_loadings, plugin_covariances, standard_errors
+from .output import atomic_write_text, write_csv, write_json, write_matrix
 from .panel import EstimatorConfig, load_panel, make_quantile_grid
 from .ranksel import (
     default_rank_threshold,
@@ -159,6 +159,12 @@ def _estimator_config(opts: dict) -> EstimatorConfig:
                            kernel_order=opts["kernel_order"], seed=opts["seed"])
 
 
+def _check_tau(opts: dict) -> None:
+    """Reject a --tau off the quantile grid before any fitting starts."""
+    if opts["tau"] is not None:
+        _level_index(make_quantile_grid(opts["m"], opts["hd"]).levels, opts["tau"])
+
+
 def _fit_pipeline(opts: dict, need_weights: bool):
     """Shared front half: load, resolve rank, warm start, fit."""
     panel = load_panel(opts["input"], opts["layout"])
@@ -185,21 +191,22 @@ def _tau_name(tau: float) -> str:
     return format(tau, "g")
 
 
-def _write_estimate(out_dir: Path, grid, est, weights):
-    write_matrix(out_dir / "factors.csv", est.factors,
-                 row_ids=[f"t{t}" for t in range(est.factors.shape[0])],
+def _write_estimate(out_dir: Path, panel, grid, est, weights):
+    write_matrix(out_dir / "factors.csv", est.factors, row_ids=list(panel.col_ids),
                  col_ids=[f"f{j}" for j in range(est.rank)])
     for m, tau in enumerate(grid.levels):
         write_matrix(out_dir / f"loadings_tau_{_tau_name(tau)}.csv", est.loadings[m],
+                     row_ids=list(panel.row_ids),
                      col_ids=[f"f{j}" for j in range(est.rank)])
     if weights is not None:
-        rows = []
-        m_count, n, t = weights.w.shape
-        for m in range(m_count):
-            for i in range(n):
-                for s in range(t):
-                    rows.append([_tau_name(grid.levels[m]), i, s, weights.w[m, i, s]])
-        write_csv(out_dir / "weights.csv", ["tau", "row", "col", "weight"], rows)
+        # one "tau,row,col,weight" line per cell, in write_csv's number format
+        cols = [f"{s}," for s in range(weights.w.shape[2])]
+        lines = ["tau,row,col,weight"]
+        for tau, w_m in zip(grid.levels, weights.w):
+            for i, w_mi in enumerate(w_m.tolist()):
+                prefix = f"{_tau_name(tau)},{i},"
+                lines += [prefix + c + format(v, ".17g") for c, v in zip(cols, w_mi)]
+        atomic_write_text(out_dir / "weights.csv", "\n".join(lines) + "\n")
 
 
 def _write_ses(out_dir: Path, panel, grid, est, weights, tau_common=None):
@@ -207,14 +214,14 @@ def _write_ses(out_dir: Path, panel, grid, est, weights, tau_common=None):
     covs = plugin_covariances(panel, est, weights, mean, grid)
     t_len, r = est.factors.shape
     se_f = np.stack([standard_errors(est, covs, "factor", t=t) for t in range(t_len)])
-    write_matrix(out_dir / "se_factors.csv", se_f,
-                 row_ids=[f"t{t}" for t in range(t_len)],
+    write_matrix(out_dir / "se_factors.csv", se_f, row_ids=list(panel.col_ids),
                  col_ids=[f"f{j}" for j in range(r)])
     n = panel.n_rows
     for m, tau in enumerate(grid.levels):
         se_l = np.stack([standard_errors(est, covs, "loading", tau=tau, i=i)
                          for i in range(n)])
         write_matrix(out_dir / f"se_loadings_tau_{_tau_name(tau)}.csv", se_l,
+                     row_ids=list(panel.row_ids),
                      col_ids=[f"f{j}" for j in range(r)])
     if tau_common is not None:
         se_c = np.empty((n, t_len))
@@ -222,7 +229,8 @@ def _write_ses(out_dir: Path, panel, grid, est, weights, tau_common=None):
             for t in range(t_len):
                 se_c[i, t] = standard_errors(est, covs, "common",
                                              tau=tau_common, i=i, t=t)
-        write_matrix(out_dir / f"se_common_tau_{_tau_name(tau_common)}.csv", se_c)
+        write_matrix(out_dir / f"se_common_tau_{_tau_name(tau_common)}.csv", se_c,
+                     row_ids=list(panel.row_ids), col_ids=list(panel.col_ids))
     return mean, covs
 
 
@@ -243,7 +251,7 @@ def _manifest(out_dir: Path, opts: dict, caught: list, started: float, extra=Non
 def _cmd_estimate(opts, out_dir):
     need_w = opts["method"] == "idw-ufa"
     panel, grid, config, report, est, weights = _fit_pipeline(opts, need_w)
-    _write_estimate(out_dir, grid, est, weights)
+    _write_estimate(out_dir, panel, grid, est, weights)
     if weights is not None:
         _write_ses(out_dir, panel, grid, est, weights)
     print(f"rank used: {config.rank} (estimated {report.r_hat}); "
@@ -268,6 +276,7 @@ def _cmd_rank(opts, out_dir):
 
 
 def _cmd_select(opts, out_dir):
+    _check_tau(opts)
     panel, grid, config, report, est, weights = _fit_pipeline(opts, need_weights=True)
     mean = mean_loadings(panel, est)
     if opts["tau"] is None:
@@ -301,6 +310,7 @@ def _cmd_mean_loadings(opts, out_dir):
 
 
 def _cmd_infer(opts, out_dir):
+    _check_tau(opts)
     panel, grid, config, report, est, weights = _fit_pipeline(opts, need_weights=True)
     _write_ses(out_dir, panel, grid, est, weights, tau_common=opts["tau"])
     print(f"standard errors written to {out_dir}")

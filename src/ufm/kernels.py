@@ -14,6 +14,9 @@ fitted value c are
     hess(c)  = k(a) / h
 
 where K(a) = int_{-inf}^a k and J1(a) = int_{-inf}^a v k(v) dv.
+
+All three come from one pass, :func:`_kernel_terms`, sharing a single
+Gaussian and normal-CDF evaluation per point.
 """
 
 from __future__ import annotations
@@ -100,77 +103,48 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-def kernel_k(kernel: SmoothKernel, z) -> np.ndarray | float:
-    """Kernel density k(z); symmetric, may be negative for order > 2."""
-    z = np.asarray(z, dtype=float)
-    zc = np.clip(z, -_Z_CUT, _Z_CUT)
-    w = zc * zc
-    poly = np.zeros_like(zc)
-    for c in kernel.poly_coeffs[::-1]:
-        poly = poly * w + c
-    out = poly * _phi(zc)
-    return out if out.ndim else float(out)
+def _kernel_terms(kernel: SmoothKernel, z, j1: bool = False, dens: bool = False):
+    """K(z), and J1(z) and k(z) when asked (else None), from one phi and ndtr pass.
 
-
-def _gaussian_partial_moments(zc: np.ndarray, n_max: int) -> list[np.ndarray]:
-    """I_n(z) = int_{-inf}^z v^n phi(v) dv for n = 0..n_max (z pre-clamped)."""
-    phi = _phi(zc)
-    moments = [ndtr(zc), -phi]
-    zpow = np.ones_like(zc)
-    for n in range(2, n_max + 1):
-        zpow = zpow * zc
-        moments.append((n - 1) * moments[n - 2] - zpow * phi)
-    return moments
-
-
-def _cdf_j1(kernel: SmoothKernel, zc: np.ndarray, want_j1: bool = True):
-    """K(z) and J1(z) = int_{-inf}^z v k(v) dv from the even/odd chains."""
+    K and J1 = int_{-inf}^z v k(v) dv follow the even/odd recurrence chains
+    I_{2i} and I_{2i+1}; k is the Horner polynomial times phi.
+    """
+    zc = np.clip(np.asarray(z, dtype=float), -_Z_CUT, _Z_CUT)
     coeffs = kernel.poly_coeffs
     phi = _phi(zc)
+    z2 = zc * zc if dens or coeffs.size > 1 else None
     even = ndtr(zc)               # I_0
     cdf = coeffs[0] * even
-    odd = j1 = None
-    if want_j1:
+    odd = j1_out = k_out = None
+    if j1:
         odd = -phi                # I_1
-        j1 = coeffs[0] * odd
-    if coeffs.size > 1:
-        z2 = zc * zc
-        zpow = zc                 # z^{2i-1}
-        for i in range(1, coeffs.size):
-            if i > 1:
-                zpow = zpow * z2
-            even = (2 * i - 1) * even - zpow * phi           # I_{2i}
-            cdf += coeffs[i] * even
-            if want_j1:
-                odd = (2 * i) * odd - (zpow * zc) * phi      # I_{2i+1}
-                j1 += coeffs[i] * odd
-    return cdf, j1
+        j1_out = coeffs[0] * odd
+    zpow = zc                     # z^{2i-1}
+    for i in range(1, coeffs.size):
+        if i > 1:
+            zpow = zpow * z2
+        even = (2 * i - 1) * even - zpow * phi           # I_{2i}
+        cdf += coeffs[i] * even
+        if j1:
+            odd = (2 * i) * odd - (zpow * zc) * phi      # I_{2i+1}
+            j1_out += coeffs[i] * odd
+    if dens:
+        poly = np.full_like(zc, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            poly = poly * z2 + c
+        k_out = poly * phi
+    return cdf, j1_out, k_out
 
 
-def _cdf_density(kernel: SmoothKernel, zc: np.ndarray):
-    """Fused K(z) and k(z) sharing one Gaussian evaluation (z pre-clamped)."""
-    coeffs = kernel.poly_coeffs
-    phi = _phi(zc)
-    z2 = zc * zc
-    poly = np.full_like(zc, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        poly = poly * z2 + c
-    even = ndtr(zc)
-    cdf = coeffs[0] * even
-    if coeffs.size > 1:
-        zpow = zc
-        for i in range(1, coeffs.size):
-            if i > 1:
-                zpow = zpow * z2
-            even = (2 * i - 1) * even - zpow * phi
-            cdf += coeffs[i] * even
-    return cdf, poly * phi
+def kernel_k(kernel: SmoothKernel, z) -> np.ndarray | float:
+    """Kernel density k(z); symmetric, may be negative for order > 2."""
+    _, _, out = _kernel_terms(kernel, z, dens=True)
+    return out if out.ndim else float(out)
 
 
 def kernel_cdf(kernel: SmoothKernel, z) -> np.ndarray | float:
     """Exact antiderivative K(z) = int_{-inf}^z k; K(-inf) = 0, K(inf) = 1."""
-    z = np.asarray(z, dtype=float)
-    cdf, _ = _cdf_j1(kernel, np.clip(z, -_Z_CUT, _Z_CUT), want_j1=False)
+    cdf, _, _ = _kernel_terms(kernel, z)
     return cdf if cdf.ndim else float(cdf)
 
 
@@ -197,7 +171,7 @@ def smoothed_value(kernel: SmoothKernel, h: float, tau, c, y) -> np.ndarray | fl
     """
     c = np.asarray(c, dtype=float)
     a = (c - y) / h
-    cdf, j1 = _cdf_j1(kernel, np.clip(a, -_Z_CUT, _Z_CUT))
+    cdf, j1, _ = _kernel_terms(kernel, a, j1=True)
     # a itself stays unclamped: outside the cut, K and J1 saturate to
     # {0,1} and 0, leaving the exact check-loss asymptote h*a*(K - tau).
     out = h * (a * (cdf - tau) - j1)

@@ -10,6 +10,10 @@ kernels make the Hessian sign-indefinite, so any step whose Hessian is not
 positive definite falls back to steepest descent; all steps are projected
 onto the box and accepted by Armijo backtracking on the closed-form
 objective, which guarantees the objective never increases.
+
+Each point gets one kernel pass: evaluating a trial's objective also gives
+its gradient and curvature terms, which the accepted trial carries into
+the next Newton step.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ActiveBoxWarning, MaxItersWarning, NonFiniteError
-from .kernels import SmoothKernel, _cdf_density, _cdf_j1, _Z_CUT
+from .kernels import SmoothKernel, _kernel_terms
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACK = 60
+_BLOCK = 16384       # elements per row block of one kernel pass
 
 
 @dataclass(frozen=True)
@@ -52,15 +57,22 @@ class BatchResult:
 
 
 def _objective(kernel, h, a_scaled, tau, wn):
-    """Mean weighted smoothed check loss; a_scaled = residual/h, (P, n)."""
-    cdf, j1 = _cdf_j1(kernel, np.clip(a_scaled, -_Z_CUT, _Z_CUT))
-    per_obs = h * (a_scaled * (cdf - tau) - j1)
-    return np.mean(wn * per_obs, axis=-1)
-
-
-def _grad_curv(kernel, h, a_scaled, tau):
-    cdf, dens = _cdf_density(kernel, np.clip(a_scaled, -_Z_CUT, _Z_CUT))
-    return cdf - tau, dens / h
+    """Mean weighted smoothed check loss per row, a_scaled = residual/h (P, n),
+    with the per-observation gradient term K - tau and curvature term k/h
+    from the same kernel pass. Blocks of whole rows keep temporaries small."""
+    p_count, n = a_scaled.shape
+    values = np.empty(p_count)
+    g_obs = np.empty((p_count, n))
+    c_obs = np.empty((p_count, n))
+    step = max(1, _BLOCK // n)
+    for start in range(0, p_count, step):
+        rows = slice(start, start + step)
+        a = a_scaled[rows]
+        cdf, j1, dens = _kernel_terms(kernel, a, j1=True, dens=True)
+        g = np.subtract(cdf, tau[rows], out=g_obs[rows])
+        np.divide(dens, h, out=c_obs[rows])
+        values[rows] = np.mean(wn[rows] * (h * (a * g - j1)), axis=-1)
+    return values, g_obs, c_obs
 
 
 def _residuals(theta, x):
@@ -122,7 +134,8 @@ def solve_sqr_batch(
     converged = np.zeros(p_count, dtype=bool)
     regularized = np.zeros(p_count, dtype=bool)
     eye = np.eye(r)
-    values = _objective(kernel, h, (_residuals(theta, x) - y) / h, tau, wn)
+    # per-observation gradient and curvature terms at each problem's iterate
+    values, g_all, c_all = _objective(kernel, h, (_residuals(theta, x) - y) / h, tau, wn)
     if not np.isfinite(values).all():
         raise NonFiniteError("non-finite objective at the initial point")
 
@@ -130,11 +143,7 @@ def solve_sqr_batch(
     alive = np.arange(p_count)
     for it in range(1, max_iters + 1):
         th = theta[alive]
-        xs = _take(x, alive)
-        ys, ts, ws = y[alive], tau[alive], wn[alive]
-        a = (_residuals(th, xs) - ys) / h
-        g_obs, c_obs = _grad_curv(kernel, h, a, ts)
-        grad = _design_reduce(ws * g_obs, xs) / n
+        grad = _design_reduce(wn[alive] * g_all[alive], _take(x, alive)) / n
         if not np.isfinite(grad).all():
             raise NonFiniteError("non-finite gradient")
 
@@ -146,12 +155,12 @@ def solve_sqr_batch(
             break
         keep = ~done
         alive = alive[keep]
-        th, grad, a = th[keep], grad[keep], a[keep]
+        th, grad = th[keep], grad[keep]
         xs = _take(x, alive)
-        ys, ts, ws, c_obs = ys[keep], ts[keep], ws[keep], c_obs[keep]
+        ys, ts, ws = y[alive], tau[alive], wn[alive]
         vals = values[alive]
 
-        hess = _design_gram(ws * c_obs, xs) / n
+        hess = _design_gram(ws * c_all[alive], xs) / n
         eigs = np.linalg.eigvalsh(hess)
         min_eig, max_eig = eigs[:, 0], eigs[:, -1]
         pos_def = min_eig > 1e-12 * np.maximum(1.0, np.abs(max_eig))
@@ -173,11 +182,13 @@ def solve_sqr_batch(
             sub = open_idx
             trial = np.clip(th[sub] + step[sub, None] * direction[sub], lo, hi)
             a_try = (_residuals(trial, _take(xs, sub)) - ys[sub]) / h
-            v_try = _objective(kernel, h, a_try, ts[sub], ws[sub])
+            v_try, g_try, c_try = _objective(kernel, h, a_try, ts[sub], ws[sub])
             gain = np.einsum("pr,pr->p", grad[sub], trial - th[sub])
             ok = np.isfinite(v_try) & (v_try <= vals[sub] + _ARMIJO * np.minimum(gain, 0.0))
             new_theta[sub[ok]] = trial[ok]
             new_values[sub[ok]] = v_try[ok]
+            g_all[alive[sub[ok]]] = g_try[ok]
+            c_all[alive[sub[ok]]] = c_try[ok]
             open_idx = sub[~ok]
             if open_idx.size == 0:
                 break

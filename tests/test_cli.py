@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import ufm.cli as cli
 from ufm.cli import run_cli
-from ufm.panel import load_panel, save_panel
+from ufm.panel import PanelMatrix, load_panel, save_panel
 from ufm.simlab import gen_dgp
 
 
@@ -61,6 +62,23 @@ class TestEstimate:
         assert weights[0] == "tau,row,col,weight"
         assert len(weights) == 1 + 5 * 16 * 16
 
+    def test_outputs_keep_panel_labels(self, panel_csv, tmp_path):
+        _, dgp = panel_csv
+        values = dgp.panel.values
+        labelled = PanelMatrix(values, tuple(f"firm{i}" for i in range(16)),
+                               tuple(f"d{t}" for t in range(16)))
+        path = tmp_path / "labelled.csv"
+        save_panel(labelled, path)
+        out = tmp_path / "out"
+        code = run_cli(["estimate", "--method", "idw-ufa", "--rank", "1",
+                        "--input", str(path), "--M", "5", "--out-dir", str(out)])
+        assert code == 0
+        for name, ids in (("factors.csv", labelled.col_ids),
+                          ("se_factors.csv", labelled.col_ids),
+                          ("loadings_tau_0.5.csv", labelled.row_ids),
+                          ("se_loadings_tau_0.5.csv", labelled.row_ids)):
+            assert load_panel(out / name).row_ids == ids, name
+
     def test_auto_rank(self, panel_csv, tmp_path):
         path, _ = panel_csv
         out = tmp_path / "out"
@@ -114,6 +132,21 @@ class TestConfigAndErrors:
         assert manifest["config"]["m"] == 3          # CLI wins over file
         assert manifest["config"]["seed"] == 42      # file wins over default
         assert len(list(out.glob("loadings_tau_*.csv"))) == 3
+
+    @pytest.mark.parametrize("command", ["infer", "select"])
+    def test_off_grid_tau_rejected_before_fit(self, panel_csv, tmp_path, monkeypatch,
+                                              command):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit started")
+
+        monkeypatch.setattr(cli, "_fit_pipeline", no_fit)
+        path, _ = panel_csv
+        out = tmp_path / "out"
+        code = run_cli([command, "--input", str(path), "--M", "5", "--tau", "0.55",
+                        "--out-dir", str(out)])
+        assert code == 1
+        assert not list(out.glob("se_*.csv"))
+        assert not (out / "strength_report.csv").exists()
 
     def test_usage_error_exit_code(self):
         assert run_cli(["estimate"]) == 1            # missing --input

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ufm.sqr as sqr
 from conftest import gauss_legendre_check_loss
 from ufm.errors import NonFiniteError
-from ufm.kernels import gaussian_kernel
+from ufm.kernels import gaussian_kernel, smoothed_grad, smoothed_hess
 from ufm.sqr import SqrObservation, solve_sqr, solve_sqr_batch
 
 K2 = gaussian_kernel(2)
@@ -128,14 +131,49 @@ class TestBatchSolver:
             assert np.abs(single - batch.theta[j]).max() <= 1e-9
 
     def test_sub_batch_identical(self, rng):
-        p, n = 8, 25
+        # the second batch spans several row blocks of the objective
+        for p, n, rows in ((8, 25, slice(2, 5)), (2000, 30, slice(500, 1200))):
+            y = rng.normal(size=(p, n))
+            x = rng.normal(size=(n, 1))
+            taus = np.full((p, 1), 0.6)
+            full = solve_sqr_batch(y, x, taus, np.asarray(1.0), K14, 0.4, BOX,
+                                   np.zeros((p, 1)))
+            part = solve_sqr_batch(y[rows], x, taus[rows], np.asarray(1.0), K14, 0.4,
+                                   BOX, np.zeros((rows.stop - rows.start, 1)))
+            # problems are independent; BLAS accumulation order may differ by
+            # batch shape, so equality holds to a few ulps rather than bitwise
+            assert np.abs(full.theta[rows] - part.theta).max() <= 1e-12
+
+    def test_row_blocks_change_nothing(self, rng, monkeypatch):
+        p, n = 2000, 30
+        assert p * n > 3 * sqr._BLOCK
         y = rng.normal(size=(p, n))
         x = rng.normal(size=(n, 1))
         taus = np.full((p, 1), 0.6)
-        full = solve_sqr_batch(y, x, taus, np.asarray(1.0), K14, 0.4, BOX,
-                               np.zeros((p, 1)))
-        half = solve_sqr_batch(y[2:5], x, taus[2:5], np.asarray(1.0), K14, 0.4, BOX,
-                               np.zeros((3, 1)))
-        # problems are independent; BLAS accumulation order may differ by batch
-        # shape, so equality holds to a few ulps rather than bitwise
-        assert np.abs(full.theta[2:5] - half.theta).max() <= 1e-12
+        args = (y, x, taus, np.asarray(1.0), K14, 0.4, BOX, np.zeros((p, 1)))
+        blocked = solve_sqr_batch(*args)
+        monkeypatch.setattr(sqr, "_BLOCK", p * n)
+        whole = solve_sqr_batch(*args)
+        assert blocked.n_iters == whole.n_iters
+        assert np.array_equal(blocked.theta, whole.theta)
+
+
+_KERNELS = {order: gaussian_kernel(order) for order in (2, 6, 14)}
+
+
+class TestObjectiveTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.sampled_from(sorted(_KERNELS)),
+           z=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40),
+           h=st.floats(0.05, 2.0), tau=st.floats(0.01, 0.99))
+    def test_terms_are_grad_and_hess(self, order, z, h, tau):
+        # |z| up to 60 crosses the kernel's clamp at 40; the tiled panel
+        # spans more than one row block
+        kernel = _KERNELS[order]
+        c = np.resize(np.array(z) * h, (sqr._BLOCK // len(z) + 2, len(z)))
+        a = (c - 0.0) / h
+        values, g_obs, c_obs = sqr._objective(kernel, h, a, np.full(a.shape, tau),
+                                              np.ones(a.shape))
+        assert np.isfinite(values).all()
+        assert np.array_equal(g_obs, smoothed_grad(kernel, h, tau, c, 0.0))
+        assert np.array_equal(c_obs, smoothed_hess(kernel, h, tau, c, 0.0))
