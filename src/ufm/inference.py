@@ -107,7 +107,7 @@ def _phi_inverse(phi: np.ndarray) -> np.ndarray:
 
 
 def _level_index(levels: np.ndarray, tau: float) -> int:
-    hits = np.flatnonzero(np.isclose(levels, tau, atol=1e-12))
+    hits = np.flatnonzero(np.isclose(levels, tau, rtol=0, atol=1e-12))
     if hits.size == 0:
         raise ValueError(f"tau={tau} is not one of the estimated levels")
     return int(hits[0])

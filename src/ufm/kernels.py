@@ -111,7 +111,8 @@ def _kernel_terms(kernel: SmoothKernel, z, j1: bool = False, dens: bool = False)
     """
     zc = np.clip(np.asarray(z, dtype=float), -_Z_CUT, _Z_CUT)
     coeffs = kernel.poly_coeffs
-    phi = _phi(zc)
+    # an order-2 CDF alone needs only ndtr
+    phi = _phi(zc) if j1 or dens or coeffs.size > 1 else None
     z2 = zc * zc if dens or coeffs.size > 1 else None
     even = ndtr(zc)               # I_0
     cdf = coeffs[0] * even

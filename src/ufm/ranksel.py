@@ -6,6 +6,13 @@ thresholding (monotone-restart variant). It needs no prior bound on the
 number of factors, so thresholding the pooled eigenvalues of the fitted
 surfaces gives a weak-factor-robust estimate of the rank, and the top
 eigenvectors provide the warm start for the alternating estimators.
+
+The thresholding step keeps only the few singular values above the level,
+so :func:`svt` takes them from one symmetric eigendecomposition of the
+smaller Gram matrix instead of a full SVD; the prox stays exact (Cai,
+Candes & Shen 2010, arXiv:0810.3286) and agrees with the SVD form to
+rounding. It uses numpy's ``eigh``, which releases the GIL while LAPACK
+runs, so fits on parallel worker threads do not serialize.
 """
 
 from __future__ import annotations
@@ -68,10 +75,31 @@ def _pel_box(y: np.ndarray) -> tuple[float, float]:
 
 
 def svt(z: np.ndarray, level: float) -> tuple[np.ndarray, float]:
-    """Singular-value soft threshold: the prox of level * nuclear norm."""
-    u, s, vt = np.linalg.svd(z, full_matrices=False)
-    s_shrunk = np.maximum(s - level, 0.0)
-    return u @ (s_shrunk[:, None] * vt), float(s_shrunk.sum())
+    """Singular-value soft threshold: the prox of level * nuclear norm.
+
+    Returns the shrunk matrix sum_i max(s_i - level, 0) u_i v_i' and its
+    nuclear norm. With z = U S V', the Gram matrix of the shorter side has
+    eigenvalues s_i^2 and eigenvectors U (or V), and the shrunk matrix is
+    U diag((s - level)/s) U' z over the kept s > level, so one symmetric
+    eigendecomposition gives the exact prox; the discarded directions never
+    need their singular vectors. Squaring puts the rounding error of a kept
+    component at about eps * s_1 * (s_1 / level), against eps * s_1 for the
+    SVD form. numpy's ``eigh`` is used, not scipy's subset ``eigh``, because
+    it releases the GIL, so fits on worker threads overlap.
+    """
+    wide = z.shape[0] <= z.shape[1]
+    eigvals, vecs = np.linalg.eigh(z @ z.T if wide else z.T @ z)
+    keep = eigvals > level * level
+    if not keep.any():
+        return np.zeros_like(z), 0.0
+    sigma = np.sqrt(eigvals[keep])
+    vecs = vecs[:, keep]
+    shrink = (sigma - level) / sigma
+    if wide:
+        shrunk = (vecs * shrink) @ (vecs.T @ z)
+    else:
+        shrunk = ((z @ vecs) * shrink) @ vecs.T
+    return shrunk, float((sigma - level).sum())
 
 
 def pel_fit(
@@ -152,7 +180,8 @@ def pel_profile(panel: PanelMatrix, grid: QuantileGrid,
                 penalty_const: float = 0.2) -> PelProfile:
     surfaces = np.stack([pel_fit(panel, tau, penalty_const) for tau in grid.levels])
     m, n, t = surfaces.shape
-    gram = np.einsum("mnt,mns->ts", surfaces, surfaces) / (m * n * t)
+    flat = surfaces.reshape(m * n, t)
+    gram = flat.T @ flat / (m * n * t)
     eigvals, eigvecs = np.linalg.eigh(gram)
     k = min(n, t)
     order = np.argsort(eigvals)[::-1][:k]
@@ -233,7 +262,7 @@ def select_factors(
         if grid is None:
             raise ValueError("a quantile target requires the grid")
         tau = float(target)
-        matches = np.flatnonzero(np.isclose(grid.levels, tau, atol=1e-12))
+        matches = np.flatnonzero(np.isclose(grid.levels, tau, rtol=0, atol=1e-12))
         if matches.size == 0:
             raise ValueError(f"tau={tau} is not a grid level")
         lam = estimate.loadings[int(matches[0])]

@@ -144,7 +144,7 @@ def qfa_fit(
             warm = warm_start_from_profile(pel_profile(panel, warm_grid), r, config)
         if warm_grid is None:
             raise ValueError("ini_UFA needs the grid the warm start was built on")
-        hits = np.flatnonzero(np.isclose(warm_grid.levels, tau, atol=1e-12))
+        hits = np.flatnonzero(np.isclose(warm_grid.levels, tau, rtol=0, atol=1e-12))
         if hits.size == 0:
             raise ValueError(f"tau={tau} is not a level of the warm-start grid")
         start = FactorEstimate(factors=warm.factors,
@@ -301,7 +301,7 @@ def _table4_rep(spec: ExperimentSpec, seed: int, size: int, rep: int,
     se_f = standard_errors(est, covs, "factor", t=t_star)[0]
     out["f_std"] = float((est.factors[t_star, 0] - dgp.normalized_factor[t_star, 0]) / se_f)
     for tau in _T4_TAUS:
-        m = int(np.flatnonzero(np.isclose(grid.levels, tau))[0])
+        m = int(np.flatnonzero(np.isclose(grid.levels, tau, rtol=0, atol=1e-12))[0])
         fitted = float(est.loadings[m, i_star] @ est.factors[t_star])
         true_val = float(dgp.true_common(tau)[i_star, t_star])
         se_c = standard_errors(est, covs, "common", tau=tau, i=i_star, t=t_star)

@@ -55,7 +55,8 @@ def normalize(loadings, factors) -> FactorEstimate:
     m_count = lam.shape[0]
     n = lam.shape[1]
     common = np.einsum("mnr,tr->mnt", lam, f_temp)
-    gram = np.einsum("mnt,mns->ts", common, common) / (m_count * n * t)
+    flat = common.reshape(m_count * n, t)
+    gram = flat.T @ flat / (m_count * n * t)
     try:
         eigvals, eigvecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:

@@ -247,6 +247,7 @@ def test_criterion_3_fpdf_order():
 # criterion 4: rank estimation at desk scale
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_rank_estimation():
     t0 = time.time()
     spec = ExperimentSpec("table1", sizes=(50,), reps=100)
@@ -263,6 +264,7 @@ def test_criterion_4_rank_estimation():
 # criteria 5 and 6: factor-space recovery and rotation proximity
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_factor_space_recovery(battery_50):
     means = {k: float(battery_50[k].mean())
              for k in ("ufa", "idw", "pca", "qfa_05", "qfa_09")}
@@ -273,6 +275,7 @@ def test_criterion_5_factor_space_recovery(battery_50):
             + f", {battery_50['elapsed']:.0f}s (target <1800s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_rotation_proximity(battery_50):
     mean_dev = float(battery_50["h_dev"].mean())
     ok = mean_dev <= 0.02
@@ -283,6 +286,7 @@ def test_criterion_6_rotation_proximity(battery_50):
 # criterion 7: Gaussian approximation of standardized estimators
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_gaussian_approximation(fixed_truth_100):
     f_std = fixed_truth_100["f_std"]
     l_std = fixed_truth_100["l_std_05"]

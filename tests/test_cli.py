@@ -133,20 +133,32 @@ class TestConfigAndErrors:
         assert manifest["config"]["seed"] == 42      # file wins over default
         assert len(list(out.glob("loadings_tau_*.csv"))) == 3
 
-    @pytest.mark.parametrize("command", ["infer", "select"])
-    def test_off_grid_tau_rejected_before_fit(self, panel_csv, tmp_path, monkeypatch,
-                                              command):
+    @staticmethod
+    def _assert_tau_rejected_before_fit(command, tau, panel_csv, tmp_path, monkeypatch):
         def no_fit(*args, **kwargs):
             raise AssertionError("the fit started")
 
         monkeypatch.setattr(cli, "_fit_pipeline", no_fit)
         path, _ = panel_csv
         out = tmp_path / "out"
-        code = run_cli([command, "--input", str(path), "--M", "5", "--tau", "0.55",
+        code = run_cli([command, "--input", str(path), "--M", "5", "--tau", tau,
                         "--out-dir", str(out)])
         assert code == 1
         assert not list(out.glob("se_*.csv"))
         assert not (out / "strength_report.csv").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "select"])
+    def test_off_grid_tau_rejected_before_fit(self, panel_csv, tmp_path, monkeypatch,
+                                              command):
+        self._assert_tau_rejected_before_fit(command, "0.55", panel_csv, tmp_path,
+                                             monkeypatch)
+
+    @pytest.mark.parametrize("command", ["infer", "select"])
+    def test_near_grid_tau_rejected_before_fit(self, panel_csv, tmp_path, monkeypatch,
+                                               command):
+        # within numpy's default rtol of level 0.5, but not a grid level
+        self._assert_tau_rejected_before_fit(command, "0.500004", panel_csv, tmp_path,
+                                             monkeypatch)
 
     def test_usage_error_exit_code(self):
         assert run_cli(["estimate"]) == 1            # missing --input

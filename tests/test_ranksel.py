@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import ufm.ranksel as ranksel
 from ufm.panel import EstimatorConfig, PanelMatrix, make_quantile_grid, single_level_grid
 from ufm.ranksel import (
     RankReport,
@@ -19,6 +22,13 @@ from ufm.ufa import ufa_fit
 GRID = make_quantile_grid(9, 0.04)
 
 
+def _svt_reference(z, level):
+    """Soft threshold through a full SVD, the textbook form of the prox."""
+    u, s, vt = np.linalg.svd(z, full_matrices=False)
+    s_shrunk = np.maximum(s - level, 0.0)
+    return u @ (s_shrunk[:, None] * vt), float(s_shrunk.sum())
+
+
 class TestSvt:
     def test_soft_threshold_arithmetic(self):
         z = np.diag([3.0, 1.0, 0.2])
@@ -26,6 +36,43 @@ class TestSvt:
         got = np.sort(np.linalg.svd(shrunk, compute_uv=False))[::-1]
         assert np.allclose(got, [2.5, 0.5, 0.0], atol=1e-12)
         assert nuc == pytest.approx(3.0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["tall", "wide", "square"]),
+           sides=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+           log_c=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1),
+           where=st.sampled_from(["below", "between", "equal", "above"]),
+           pick=st.floats(0.0, 1.0))
+    def test_matches_full_svd(self, kind, sides, log_c, seed, where, pick):
+        lo, hi = sorted(sides)
+        n, t = {"tall": (hi, lo), "wide": (lo, hi), "square": (hi, hi)}[kind]
+        k = min(n, t)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(n, k)))
+        v, _ = np.linalg.qr(rng.normal(size=(t, k)))
+        # the spectrum spans three decades, so no level below falls under
+        # 1e-4 * s_1 and the Gram route's eps * s_1^2 / level error stays
+        # far inside the tolerance
+        z = 10.0**log_c * (u * 10.0 ** rng.uniform(-3.0, 0.0, k)) @ v.T
+        s = np.linalg.svd(z, compute_uv=False)
+        j = min(int(pick * k), k - 1)
+        if where == "below":
+            level = (0.1 + 0.8 * pick) * s[-1]
+        elif where == "between":
+            assume(k >= 2)
+            j = min(j, k - 2)
+            level = np.sqrt(s[j] * s[j + 1])
+        elif where == "equal":
+            level = s[j]
+        else:
+            level = 1.001 * s[0] * (1.0 + pick)
+        got, nuc = svt(z, level)
+        want, nuc_want = _svt_reference(z, level)
+        assert got.shape == z.shape
+        if where == "above":
+            assert np.array_equal(got, np.zeros_like(z)) and nuc == 0.0
+        assert np.abs(got - want).max() <= 1e-10 * s[0]
+        assert abs(nuc - nuc_want) <= 1e-10 * s[0]
 
 
 class TestPelFit:
@@ -77,6 +124,34 @@ class TestEstimateR:
         counts = [rank_from_profile(profile, c).r_hat
                   for c in (1e-6, 1e-3, 0.02, 0.5, 5.0)]
         assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("shape", [(40, 60), (60, 40)])
+    def test_profile_matches_full_svd_prox(self, shape, monkeypatch):
+        n, t = shape
+        panel = gen_dgp(n, t, [31, 7]).panel
+        threshold = default_rank_threshold(n, t)
+        got = pel_profile(panel, GRID)
+        errors = []
+
+        def checked_reference(z, level):
+            shrunk, nuc = svt(z, level)
+            want, nuc_want = _svt_reference(z, level)
+            scale = np.linalg.norm(z, 2)
+            errors.append(max(np.abs(shrunk - want).max(), abs(nuc - nuc_want)) / scale)
+            return want, nuc_want
+
+        monkeypatch.setattr(ranksel, "svt", checked_reference)
+        want = pel_profile(panel, GRID)
+        # every prox on the reference path agrees to rounding
+        assert len(errors) >= GRID.m_count and max(errors) <= 1e-10
+        # A fit is settled only to its stopping tolerance: a rounding-level
+        # change can flip the monotone-restart test on the last step, as at
+        # 60x40, tau = 0.6, where that level then moves by 1.4e-6 relative.
+        for a, b in ((got.surfaces, want.surfaces),
+                     (got.eigenvalues, want.eigenvalues)):
+            assert np.abs(a - b).max() <= ranksel._PEL_TOL * np.abs(b).max()
+        assert (rank_from_profile(got, threshold).r_hat
+                == rank_from_profile(want, threshold).r_hat)
 
     def test_eigen_singular_consistency(self):
         dgp = gen_dgp(20, 20, [31, 2])
