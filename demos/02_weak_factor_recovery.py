@@ -34,7 +34,7 @@ print("top pooled eigenvalues:", np.round(report.eigenvalues[:4], 4),
       f"(threshold {report.threshold:.4f})")
 print()
 
-config = EstimatorConfig(rank=report.r_hat).resolved_for(dgp.panel)
+config = EstimatorConfig(rank=report.r_hat)
 ufa_est = ufa_fit(dgp.panel, grid, config)
 idw_est, weights = idw_ufa_fit(dgp.panel, grid, config, init=ufa_est)
 

@@ -27,7 +27,7 @@ warnings.simplefilter("ignore")
 
 dgp = gen_dgp(100, 100, seed=3)
 grid = make_quantile_grid(9, 0.04)
-config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
+config = EstimatorConfig(rank=1)
 
 est, weights = idw_ufa_fit(dgp.panel, grid, config,
                            init=ufa_fit(dgp.panel, grid, config))

@@ -40,7 +40,7 @@ print(f"rank estimate: {report.r_hat} "
       f"threshold {report.threshold:.4f})")
 print()
 
-config = EstimatorConfig(rank=report.r_hat).resolved_for(dgp.panel)
+config = EstimatorConfig(rank=report.r_hat)
 est = ufa_fit(dgp.panel, grid, config)
 mean = mean_loadings(dgp.panel, est)
 

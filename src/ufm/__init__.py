@@ -26,13 +26,13 @@ from .errors import (
     UfmWarning,
 )
 from .idw import (
-    CrossFitSet,
     SplitIndex,
     WeightTensor,
     crossfit_estimates,
     fpdf_derivative,
     idw_ufa_fit,
     inverse_density_weights,
+    quadrant_crossfit,
     split_panel,
 )
 from .inference import (

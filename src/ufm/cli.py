@@ -77,7 +77,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--C", dest="c", type=float, help="nuclear-norm penalty constant")
         p.add_argument("--Cr", dest="cr", type=float, help="rank threshold")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--out-dir", dest="out_dir")
         p.add_argument("--config", help="flat key=value option file")
 
@@ -104,6 +103,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--table", type=int, choices=[1, 2, 3, 4])
     p_sim.add_argument("--sizes", type=int, nargs="+")
     p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--threads", type=int)
     common(p_sim, input_required=False)
 
     return parser
@@ -156,7 +156,7 @@ def _estimator_config(opts: dict) -> EstimatorConfig:
     if isinstance(rank, str) and rank != "auto":
         rank = int(rank)
     return EstimatorConfig(rank=rank, bandwidth_h=opts["h"],
-                           kernel_order=opts["kernel_order"], seed=opts["seed"])
+                           kernel_order=opts["kernel_order"])
 
 
 def _check_tau(opts: dict) -> None:
@@ -169,7 +169,7 @@ def _fit_pipeline(opts: dict, need_weights: bool):
     """Shared front half: load, resolve rank, warm start, fit."""
     panel = load_panel(opts["input"], opts["layout"])
     grid = make_quantile_grid(opts["m"], opts["hd"])
-    config = _estimator_config(opts).resolved_for(panel)
+    config = _estimator_config(opts)
     profile = pel_profile(panel, grid, opts["c"])
     threshold = opts["cr"] if opts["cr"] is not None else default_rank_threshold(
         panel.n_rows, panel.n_cols)
@@ -178,7 +178,7 @@ def _fit_pipeline(opts: dict, need_weights: bool):
     if rank < 1:
         raise UfmError("estimated rank is 0; nothing to fit")
     config = config.with_rank(rank)
-    warm = warm_start_from_profile(profile, rank, config)
+    warm = warm_start_from_profile(profile, rank, config.resolved_for(panel))
     if need_weights:
         ufa_est = ufa_fit(panel, grid, config, init=warm)
         est, weights = idw_ufa_fit(panel, grid, config, init=ufa_est)
@@ -234,11 +234,12 @@ def _write_ses(out_dir: Path, panel, grid, est, weights, tau_common=None):
     return mean, covs
 
 
-def _manifest(out_dir: Path, opts: dict, caught: list, started: float, extra=None):
+def _manifest(out_dir: Path, opts: dict, keys, caught: list, started: float,
+              extra=None):
+    """``keys`` are the options the subcommand defines; only those are dumped."""
     payload = {
         "version": __version__,
-        "config": {k: v for k, v in sorted(opts.items())
-                   if k not in ("config",) and not callable(v)},
+        "config": {k: opts[k] for k in sorted(keys) if k != "config"},
         "seed": opts.get("seed"),
         "timings": {"seconds": time.time() - started},
         "warnings": caught,
@@ -352,7 +353,7 @@ def run_cli(argv=None) -> int:
             warnings.simplefilter("always", UfmWarning)
             extra = _COMMANDS[args.command](opts, out_dir)
         caught = [str(w.message) for w in rec if issubclass(w.category, UfmWarning)]
-        _manifest(out_dir, opts, caught, started, extra)
+        _manifest(out_dir, opts, vars(args), caught, started, extra)
         return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

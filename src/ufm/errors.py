@@ -75,7 +75,3 @@ class ClippedFractionWarning(UfmWarning):
 
 class BandwidthBandWarning(UfmWarning):
     """Bandwidths fall outside the asymptotic feasibility band."""
-
-
-class BoundaryModeWarning(UfmWarning):
-    """Quantile levels near 0 or 1 switched to one-sided stencils."""

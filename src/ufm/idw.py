@@ -3,16 +3,20 @@
 The inverse conditional density of an observation at its fitted quantile
 equals the derivative of the loading path times the factor, so it can be
 estimated by numerically differentiating cross-fitted loadings: a five
-point stencil over quantile levels shifted by h_d. Splitting the panel
-into Top/Bottom/Left/Right halves makes the loadings and factors used to
-weight each quadrant independent of that quadrant's own observations.
-The second stage reruns the alternating fit on the full panel with each
-(level, row, column) term weighted by the estimated inverse density.
+point stencil over quantile levels shifted by h_d. The panel is split into
+row halves rows(1), rows(2) and column halves cols(1), cols(2). Quadrant
+(a, b)'s weights come from one function, :func:`quadrant_crossfit`: its
+rows' loadings are fitted on the other column half, cols(3-b), against
+factors fitted on the other row half, rows(3-a), so neither fit reads the
+quadrant's own cells. The second stage reruns the alternating fit on the
+full panel with each (level, row, column) term weighted by the estimated
+inverse density.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +33,6 @@ from .ufa import ufa_fit
 
 _CLIP_LO_FACTOR = 0.05
 _CLIP_HI_FACTOR = 20.0
-
-# (w-table, v-factors) used to weight quadrant (a, b); the table and the
-# factors never touch the quadrant's own observations.
-_CASE_TABLE = {
-    (1, 1): ("br", "bottom"),
-    (1, 2): ("bl", "bottom"),
-    (2, 1): ("tr", "top"),
-    (2, 2): ("tl", "top"),
-}
 
 
 @dataclass(frozen=True)
@@ -75,30 +70,6 @@ class WeightTensor:
     @classmethod
     def ones(cls, m: int, n: int, t: int) -> "WeightTensor":
         return cls(np.ones((m, n, t)), clip_lo=1.0, clip_hi=1.0)
-
-
-@dataclass(frozen=True)
-class CrossFitSet:
-    """Half-panel factors and the four cross-fitted loading tables.
-
-    Each table holds loadings for every row at every stencil level
-    (``stencil_levels`` ascending); the name encodes (factor half, column
-    half), e.g. ``tl`` = factors from Top, data columns from Left.
-    """
-
-    f_top: np.ndarray
-    f_bottom: np.ndarray
-    lam_tl: np.ndarray
-    lam_tr: np.ndarray
-    lam_bl: np.ndarray
-    lam_br: np.ndarray
-    stencil_levels: np.ndarray
-
-    def table(self, name: str) -> np.ndarray:
-        return getattr(self, f"lam_{name}")
-
-    def factors(self, which: str) -> np.ndarray:
-        return self.f_top if which == "top" else self.f_bottom
 
 
 def split_panel(panel: PanelMatrix) -> SplitIndex:
@@ -157,12 +128,15 @@ def _half_factors(panel: PanelMatrix, grid: QuantileGrid, config: EstimatorConfi
     return est.factors
 
 
-def _loading_table(panel: PanelMatrix, grid: QuantileGrid, config: EstimatorConfig,
-                   factors: np.ndarray, cols: np.ndarray, rows: np.ndarray,
-                   levels: np.ndarray) -> np.ndarray:
-    """Per-row smoothed QR of Y[rows, cols] on factors[cols] at each level."""
-    config = config.resolved_for(panel)
-    y = panel.submatrix(rows, cols)
+def _loading_table(panel: PanelMatrix, config: EstimatorConfig, factors: np.ndarray,
+                   rows: np.ndarray, cols: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Per-row smoothed QR of Y[rows, cols] on factors[cols] at each level.
+
+    An unset box is resolved from that block, the only cells the fit reads.
+    """
+    block = _sub_panel(panel, rows, cols)
+    config = config.resolved_for(block)
+    y = block.values
     f_sub = factors[cols]
     n_rows = y.shape[0]
     s_count = levels.size
@@ -179,24 +153,34 @@ def _loading_table(panel: PanelMatrix, grid: QuantileGrid, config: EstimatorConf
     return res.theta.reshape(s_count, n_rows, -1)
 
 
+def quadrant_crossfit(panel: PanelMatrix, grid: QuantileGrid, config: EstimatorConfig,
+                      split: SplitIndex, halves: Mapping[int, np.ndarray],
+                      a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (loading table, factors) from which quadrant (a, b)'s weights follow.
+
+    ``halves[c]`` holds the full-length factors fitted on row half c; only
+    ``halves[3 - a]`` is read. The table holds loadings for rows(a) at every
+    ``grid.all_stencil_levels()`` level, fitted on cols(3 - b) against those
+    factors; the factors returned are theirs at the quadrant's columns.
+    """
+    factors = halves[3 - a]
+    table = _loading_table(panel, config, factors, split.rows(a), split.cols(3 - b),
+                           grid.all_stencil_levels())
+    return table, factors[split.cols(b)]
+
+
 def crossfit_estimates(panel: PanelMatrix, grid: QuantileGrid,
-                       config: EstimatorConfig, split: SplitIndex) -> CrossFitSet:
-    """Half-panel factors plus all four loading tables at stencil levels."""
-    levels = grid.all_stencil_levels()
-    all_rows = np.arange(panel.n_rows)
-    f_top = _half_factors(panel, grid, config, split.n1)
-    f_bottom = _half_factors(panel, grid, config, split.n2)
-    tables = {}
-    for name, (f_half, cols) in {
-        "tl": (f_top, split.t1), "tr": (f_top, split.t2),
-        "bl": (f_bottom, split.t1), "br": (f_bottom, split.t2),
-    }.items():
-        tables[name] = _loading_table(panel, grid, config, f_half, cols,
-                                      all_rows, levels)
-    return CrossFitSet(f_top=f_top, f_bottom=f_bottom,
-                       lam_tl=tables["tl"], lam_tr=tables["tr"],
-                       lam_bl=tables["bl"], lam_br=tables["br"],
-                       stencil_levels=levels)
+                       config: EstimatorConfig, split: SplitIndex
+                       ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Every quadrant's :func:`quadrant_crossfit` result, keyed by (a, b).
+
+    h is taken from the full panel's dimensions; an unset box is resolved
+    by each fit from the sub-panel it reads.
+    """
+    config = config.with_bandwidth_for(panel)
+    halves = {c: _half_factors(panel, grid, config, split.rows(c)) for c in (1, 2)}
+    return {(a, b): quadrant_crossfit(panel, grid, config, split, halves, a, b)
+            for a in (1, 2) for b in (1, 2)}
 
 
 def _stencil_indices(grid: QuantileGrid, all_levels: np.ndarray, m: int) -> np.ndarray:
@@ -208,21 +192,19 @@ def _stencil_indices(grid: QuantileGrid, all_levels: np.ndarray, m: int) -> np.n
     return idx
 
 
-def raw_inverse_density(crossfit: CrossFitSet, grid: QuantileGrid,
+def raw_inverse_density(crossfit: dict, grid: QuantileGrid,
                         split: SplitIndex) -> np.ndarray:
-    """Unclipped weight tensor assembled quadrant by quadrant."""
+    """Unclipped weight tensor, each quadrant's block from its own cross-fit."""
+    levels = grid.all_stencil_levels()
     n = split.n1.size + split.n2.size
     t = split.t1.size + split.t2.size
-    m_count = grid.m_count
-    raw = np.empty((m_count, n, t))
-    for (a, b), (w_name, v_name) in _CASE_TABLE.items():
-        rows, cols = split.rows(a), split.cols(b)
-        table = crossfit.table(w_name)
-        f_v = crossfit.factors(v_name)[cols]
-        for m in range(m_count):
-            idx = _stencil_indices(grid, crossfit.stencil_levels, m)
-            deriv = fpdf_derivative(table[idx][:, rows, :], grid.shift, grid.modes[m])
-            raw[np.ix_([m], rows, cols)] = (deriv @ f_v.T)[None]
+    raw = np.empty((grid.m_count, n, t))
+    for (a, b), (table, f_v) in crossfit.items():
+        block = np.ix_(split.rows(a), split.cols(b))
+        for m in range(grid.m_count):
+            idx = _stencil_indices(grid, levels, m)
+            deriv = fpdf_derivative(table[idx], grid.shift, grid.modes[m])
+            raw[m][block] = deriv @ f_v.T
     return raw
 
 
@@ -250,30 +232,16 @@ def clip_weights(raw: np.ndarray, scale_hint: float | None = None) -> WeightTens
     return WeightTensor(w=clipped, clip_lo=lo, clip_hi=hi, clipped_fraction=frac)
 
 
-def inverse_density_weights(crossfit: CrossFitSet, grid: QuantileGrid,
+def inverse_density_weights(crossfit: dict, grid: QuantileGrid,
                             split: SplitIndex) -> WeightTensor:
-    mid = crossfit.stencil_levels.size // 2
-    surface = crossfit.lam_tl[mid] @ crossfit.f_top.T
-    scale = float(np.median(np.abs(surface)))
-    return clip_weights(raw_inverse_density(crossfit, grid, split), scale)
-
-
-def quadrant_weight_inputs(panel: PanelMatrix, grid: QuantileGrid,
-                           config: EstimatorConfig, split: SplitIndex,
-                           a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (loading table rows, factors) feeding quadrant (a, b)'s weights.
-
-    Recomputes exactly the pieces the full pipeline uses for that quadrant,
-    reading the panel only through ``panel.submatrix``; a tracing panel can
-    therefore certify that quadrant (a, b)'s own cells are never touched.
-    """
-    w_name, v_name = _CASE_TABLE[(a, b)]
-    f_rows = split.n1 if v_name == "top" else split.n2
-    f_half = _half_factors(panel, grid, config, f_rows)
-    table_cols = split.t1 if w_name.endswith("l") else split.t2
-    table = _loading_table(panel, grid, config, f_half, table_cols,
-                           split.rows(a), grid.all_stencil_levels())
-    return table, f_half
+    """Clipped inverse densities. The clip scale hint is the median
+    |fitted common component| at the middle stencil level, each cell fitted
+    by its own quadrant's cross-fit."""
+    mid = grid.all_stencil_levels().size // 2
+    surface = np.concatenate([(table[mid] @ f_v.T).ravel()
+                              for table, f_v in crossfit.values()])
+    return clip_weights(raw_inverse_density(crossfit, grid, split),
+                        float(np.median(np.abs(surface))))
 
 
 def idw_ufa_fit(
@@ -286,11 +254,11 @@ def idw_ufa_fit(
 
     ``init`` seeds the weighted full-panel stage; by default the plain
     unweighted fit of the full panel is computed and used, mirroring the
-    recommended warm-start chain.
+    recommended warm-start chain. An unset ``box_bound`` is resolved from
+    the full panel for the refit and from each sub-panel in the cross-fit.
     """
-    config = config.resolved_for(panel)
     zeta = 1.0 / np.sqrt(panel.n_rows) + 1.0 / np.sqrt(panel.n_cols)
-    h = config.bandwidth_h
+    h = config.with_bandwidth_for(panel).bandwidth_h
     if not (zeta / h**5 < grid.shift < h):
         warnings.warn(
             f"(h_d={grid.shift:.3g}, h={h:.3g}) falls outside the asymptotic "

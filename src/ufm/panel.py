@@ -64,11 +64,11 @@ class PanelMatrix:
 
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return len(self.row_ids)
 
     @property
     def n_cols(self) -> int:
-        return self.values.shape[1]
+        return len(self.col_ids)
 
     def submatrix(self, rows, cols) -> np.ndarray:
         """Extract a block of observations.
@@ -190,7 +190,6 @@ class EstimatorConfig:
     outer_tol: float = 1e-4
     inner_tol: float = 1e-7
     max_inner_iters: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if isinstance(self.rank, str):
@@ -210,15 +209,19 @@ class EstimatorConfig:
 
     def resolved_for(self, panel: PanelMatrix) -> "EstimatorConfig":
         """Fill data-dependent defaults from the panel dimensions and scale."""
-        h = self.bandwidth_h
-        if h is None:
-            h = min(panel.n_rows, panel.n_cols) ** (-1.0 / 13.0)
         box = self.box_bound
         if box is None:
             scale = float(np.abs(panel.values).max())
             sd = float(panel.values.std())
             box = 10.0 * max(scale, 1.0) / min(1.0, sd if sd > 0 else 1.0)
-        return dataclasses.replace(self, bandwidth_h=float(h), box_bound=float(box))
+        return dataclasses.replace(self.with_bandwidth_for(panel), box_bound=float(box))
+
+    def with_bandwidth_for(self, panel: PanelMatrix) -> "EstimatorConfig":
+        """Fill only h, from the panel's dimensions; no cell is read."""
+        h = self.bandwidth_h
+        if h is None:
+            h = min(panel.n_rows, panel.n_cols) ** (-1.0 / 13.0)
+        return dataclasses.replace(self, bandwidth_h=float(h))
 
     def with_rank(self, rank: int) -> "EstimatorConfig":
         return dataclasses.replace(self, rank=int(rank))

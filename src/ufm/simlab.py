@@ -235,7 +235,7 @@ def _table1_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> dict:
 def _table2_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> list[dict]:
     dgp = gen_dgp(size, size, _rep_seed(seed, spec, size, rep))
     grid = _grid(spec)
-    config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
+    config = EstimatorConfig(rank=1)
     rows = []
 
     def emit(estimator, tau, factors):
@@ -255,7 +255,8 @@ def _table2_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> list[di
         if "qfa-ini-ufa" in spec.estimators:
             # the quantile-level baseline uses the true rank, like the multi
             # level warm start restricted to its leading column
-            warm_true = warm if warm.rank == 1 else warm_start_from_profile(profile, 1, config)
+            warm_true = warm if warm.rank == 1 else warm_start_from_profile(
+                profile, 1, config.resolved_for(dgp.panel))
             for tau in spec.taus:
                 est = qfa_fit(dgp.panel, tau, 1, init="ini_UFA", config=config,
                               warm=warm_true, warm_grid=grid, shift=spec.shift)
@@ -273,8 +274,7 @@ def _table2_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> list[di
 def _table3_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> dict:
     dgp = gen_dgp(size, size, _rep_seed(seed, spec, size, rep))
     grid = _grid(spec)
-    config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
-    est, _ = idw_ufa_fit(dgp.panel, grid, config)
+    est, _ = idw_ufa_fit(dgp.panel, grid, EstimatorConfig(rank=1))
     h_mat = rotation_scalar(est, dgp.normalized_factor)
     return {"size": size, "rep": rep, "h_abs_dev": float(np.abs(h_mat[0, 0] - 1.0))}
 
@@ -291,8 +291,7 @@ def _table4_rep(spec: ExperimentSpec, seed: int, size: int, rep: int,
     if dgp.truth_digest() != digest:
         raise AssertionError("fixed-truth protocol violated: truth changed across reps")
     grid = _grid(spec)
-    config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
-    est, weights = idw_ufa_fit(dgp.panel, grid, config)
+    est, weights = idw_ufa_fit(dgp.panel, grid, EstimatorConfig(rank=1))
     est = align_factor_signs(est, dgp.normalized_factor)
     mean = mean_loadings(dgp.panel, est)
     covs = plugin_covariances(dgp.panel, est, weights, mean, grid)

@@ -1,7 +1,11 @@
 """Shared test oracles, independent of the library's evaluation paths."""
 
+import itertools
+
 import numpy as np
 import pytest
+
+from ufm.panel import PanelMatrix
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -51,6 +55,41 @@ def gauss_legendre_check_loss(poly_coeffs, h, tau, c, y, n_nodes=48, span=9.0):
     left = half * (integrand @ weights)
     out = h * (-left - tau * a_raw)
     return out if out.ndim else float(out)
+
+
+class TracingPanel(PanelMatrix):
+    """Records the (row, col) cells a code path reads: a block through
+    ``submatrix``, and every cell through a read of ``values``."""
+
+    @classmethod
+    def wrap(cls, panel):
+        traced = cls(panel.values, panel.row_ids, panel.col_ids)
+        object.__setattr__(traced, "accessed", set())
+        return traced
+
+    def __getattribute__(self, name):
+        if name == "values" and "accessed" in object.__getattribute__(self, "__dict__"):
+            self.accessed.update(itertools.product(range(len(self.row_ids)),
+                                                   range(len(self.col_ids))))
+        return super().__getattribute__(name)
+
+    def submatrix(self, rows, cols):
+        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+        self.accessed.update((int(i), int(j)) for i in rows for j in cols)
+        return object.__getattribute__(self, "values")[np.ix_(rows, cols)]
+
+
+class FitOnRead(dict):
+    """Row-half factors for ``quadrant_crossfit``, each fitted only when the
+    function reads it, so a tracing panel records just the half it uses."""
+
+    def __init__(self, fit):
+        super().__init__()
+        self.fit = fit
+
+    def __missing__(self, half):
+        self[half] = self.fit(half)
+        return self[half]
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import gauss_legendre_check_loss
+from conftest import FitOnRead, TracingPanel, gauss_legendre_check_loss
 from ufm.cli import run_cli
-from ufm.idw import idw_ufa_fit, quadrant_weight_inputs, split_panel
+from ufm.idw import _half_factors, idw_ufa_fit, quadrant_crossfit, split_panel
 from ufm.inference import mean_loadings, plugin_covariances
 from ufm.idw import WeightTensor
 from ufm.kernels import gaussian_kernel, kernel_cdf, kernel_k
@@ -330,31 +330,21 @@ def test_criterion_8_covariance_plugins():
 # criterion 9: weight computation never reads its own quadrant
 # --------------------------------------------------------------------------
 
-class _TracingPanel(PanelMatrix):
-    @classmethod
-    def wrap(cls, panel):
-        traced = cls(panel.values, panel.row_ids, panel.col_ids)
-        object.__setattr__(traced, "accessed", set())
-        return traced
-
-    def submatrix(self, rows, cols):
-        for i in np.asarray(rows, dtype=int):
-            for j in np.asarray(cols, dtype=int):
-                self.accessed.add((int(i), int(j)))
-        return super().submatrix(rows, cols)
-
-
 def test_criterion_9_independence_structure():
+    # the pipeline's own per-quadrant function; the box is left unset, so
+    # the box-bound reads of every fit go through the traced panel too
     dgp = gen_dgp(8, 8, [SEED, 9])
-    config = EstimatorConfig(rank=1, max_outer_iters=5).resolved_for(dgp.panel)
+    config = EstimatorConfig(rank=1, max_outer_iters=5).with_bandwidth_for(dgp.panel)
     overlaps = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for a in (1, 2):
             for b in (1, 2):
-                traced = _TracingPanel.wrap(dgp.panel)
+                traced = TracingPanel.wrap(dgp.panel)
                 split = split_panel(traced)
-                quadrant_weight_inputs(traced, GRID, config, split, a, b)
+                halves = FitOnRead(lambda c: _half_factors(
+                    traced, GRID, config, split.rows(c)))
+                quadrant_crossfit(traced, GRID, config, split, halves, a, b)
                 quadrant = {(int(i), int(j))
                             for i in split.rows(a) for j in split.cols(b)}
                 assert traced.accessed

@@ -160,6 +160,24 @@ class TestConfigAndErrors:
         self._assert_tau_rejected_before_fit(command, "0.500004", panel_csv, tmp_path,
                                              monkeypatch)
 
+    def test_threads_only_on_simulate(self, panel_csv, tmp_path):
+        path, _ = panel_csv
+        code = run_cli(["estimate", "--input", str(path), "--threads", "2",
+                        "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_config_lists_subcommand_options_only(self, panel_csv, tmp_path):
+        path, _ = panel_csv
+        out = tmp_path / "out"
+        assert run_cli(["rank", "--input", str(path), "--M", "5",
+                        "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {"m", "c", "seed"} <= set(manifest["config"])
+        assert not {"reps", "sizes", "table", "threads", "method", "tau"} \
+            & set(manifest["config"])
+        assert {"r_hat", "threshold"} <= set(manifest)
+
     def test_usage_error_exit_code(self):
         assert run_cli(["estimate"]) == 1            # missing --input
         assert run_cli(["no-such-command"]) == 1

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from conftest import FitOnRead, TracingPanel
 from ufm.errors import BandwidthBandWarning, ClippedFractionWarning
 from ufm.idw import (
     WeightTensor,
+    _half_factors,
+    _loading_table,
     clip_weights,
     crossfit_estimates,
     fpdf_derivative,
     idw_ufa_fit,
     inverse_density_weights,
-    quadrant_weight_inputs,
+    quadrant_crossfit,
+    raw_inverse_density,
     split_panel,
 )
 from ufm.panel import EstimatorConfig, PanelMatrix, make_quantile_grid
@@ -102,10 +106,11 @@ class TestCrossFit:
         config = EstimatorConfig(rank=1, bandwidth_h=1e-5)
         split = split_panel(panel)
         cf = crossfit_estimates(panel, GRID, config, split)
-        mid = np.searchsorted(cf.stencil_levels, 0.5 - 0.04)  # a level near 0.5
-        fitted = cf.lam_tl[mid] @ cf.f_top.T
+        mid = np.searchsorted(GRID.all_stencil_levels(), 0.5 - 0.04)  # a level near 0.5
+        table, f_v = cf[(2, 2)]
+        fitted = table[mid] @ f_v.T
         br = np.ix_(split.n2, split.t2)
-        assert np.abs(fitted[br] - panel.values[br]).max() <= 1e-3
+        assert np.abs(fitted - panel.values[br]).max() <= 1e-3
 
     def test_half_factors_span_same_space(self, rng):
         lam = rng.uniform(0.5, 2.0, size=20)
@@ -114,23 +119,26 @@ class TestCrossFit:
         config = EstimatorConfig(rank=1, bandwidth_h=1e-5)
         split = split_panel(panel)
         cf = crossfit_estimates(panel, GRID, config, split)
-        assert adjusted_r2(cf.f_top[:, 0], cf.f_bottom) >= 0.999
+        # quadrants in row half a are weighted by the other half's factors
+        f_top = np.vstack([cf[(2, 1)][1], cf[(2, 2)][1]])
+        f_bottom = np.vstack([cf[(1, 1)][1], cf[(1, 2)][1]])
+        assert adjusted_r2(f_top[:, 0], f_bottom) >= 0.999
 
     def test_rotation_cancellation_rmse_shrinks(self):
         rmses = []
         for idx, size in enumerate([25, 50, 100]):
             dgp = gen_dgp(size, size, [11, idx])
-            config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
             split = split_panel(dgp.panel)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                cf = crossfit_estimates(dgp.panel, GRID, config, split)
-            m5 = np.searchsorted(cf.stencil_levels, 0.5 + 0.04)
-            tau = cf.stencil_levels[m5]
-            fitted = cf.lam_tl[m5] @ cf.f_top.T
+                cf = crossfit_estimates(dgp.panel, GRID, EstimatorConfig(rank=1), split)
+            m5 = np.searchsorted(GRID.all_stencil_levels(), 0.5 + 0.04)
+            tau = GRID.all_stencil_levels()[m5]
+            table, f_v = cf[(2, 2)]
+            fitted = table[m5] @ f_v.T
             truth = dgp.true_common(tau)
             br = np.ix_(split.n2, split.t2)
-            rmses.append(np.sqrt(np.mean((fitted[br] - truth[br]) ** 2)))
+            rmses.append(np.sqrt(np.mean((fitted - truth[br]) ** 2)))
         assert rmses[2] < rmses[0]
         assert rmses[2] <= 0.25
 
@@ -144,11 +152,10 @@ class TestInverseDensityWeights:
         rng = np.random.default_rng(21)
         n = t = 100
         panel, f = _scale_model(rng, n, t)
-        config = EstimatorConfig(rank=1).resolved_for(panel)
         split = split_panel(panel)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cf = crossfit_estimates(panel, GRID, config, split)
+            cf = crossfit_estimates(panel, GRID, EstimatorConfig(rank=1), split)
             weights = inverse_density_weights(cf, GRID, split)
         quantiles = norm.ppf(GRID.levels)
         true_w = np.broadcast_to(
@@ -164,11 +171,10 @@ class TestInverseDensityWeights:
         n = t = 100
         lam = rng.uniform(1.0, 3.0, size=n)
         panel = PanelMatrix.from_values(lam[:, None] + rng.normal(size=(n, t)))
-        config = EstimatorConfig(rank=1).resolved_for(panel)
         split = split_panel(panel)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cf = crossfit_estimates(panel, GRID, config, split)
+            cf = crossfit_estimates(panel, GRID, EstimatorConfig(rank=1), split)
             weights = inverse_density_weights(cf, GRID, split)
         w_mid = weights.w[4]  # tau = 0.5
         cov_over_t = w_mid.std(axis=1) / w_mid.mean(axis=1)
@@ -192,11 +198,10 @@ class TestInverseDensityWeights:
         dgp = gen_dgp(20, 20, [12, 5])
         grid = make_quantile_grid(9, 0.046)
         assert grid.modes[0] == "forward" and grid.modes[-1] == "backward"
-        config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
         split = split_panel(dgp.panel)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cf = crossfit_estimates(dgp.panel, grid, config, split)
+            cf = crossfit_estimates(dgp.panel, grid, EstimatorConfig(rank=1), split)
             weights = inverse_density_weights(cf, grid, split)
         assert np.isfinite(weights.w).all()
         assert (weights.w > 0).all()
@@ -244,42 +249,44 @@ class TestIdwUfa:
 
 
 class TestIndependenceStructure:
-    class TracingPanel(PanelMatrix):
-        @classmethod
-        def wrap(cls, panel):
-            traced = cls(panel.values, panel.row_ids, panel.col_ids)
-            object.__setattr__(traced, "accessed", set())
-            return traced
-
-        def submatrix(self, rows, cols):
-            for i in np.asarray(rows, dtype=int):
-                for j in np.asarray(cols, dtype=int):
-                    self.accessed.add((int(i), int(j)))
-            return super().submatrix(rows, cols)
-
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_quadrant_weights_never_read_own_quadrant(self, a, b):
         dgp = gen_dgp(8, 8, [14, a, b])
         grid = make_quantile_grid(9, 0.04)
-        config = EstimatorConfig(rank=1, max_outer_iters=3).resolved_for(dgp.panel)
-        traced = self.TracingPanel.wrap(dgp.panel)
+        # box unset: the fits' box-bound reads must go through the tracer too
+        config = EstimatorConfig(rank=1, max_outer_iters=3).with_bandwidth_for(dgp.panel)
+        traced = TracingPanel.wrap(dgp.panel)
         split = split_panel(traced)
+        halves = FitOnRead(lambda c: _half_factors(traced, grid, config, split.rows(c)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            table, f_half = quadrant_weight_inputs(traced, grid, config, split, a, b)
+            quadrant_crossfit(traced, grid, config, split, halves, a, b)
         quadrant = {(int(i), int(j))
                     for i in split.rows(a) for j in split.cols(b)}
         assert traced.accessed, "tracing recorded no reads at all"
         assert not (traced.accessed & quadrant)
 
-    def test_quadrant_inputs_match_full_pipeline(self):
-        dgp = gen_dgp(8, 8, [14, 9])
+    def test_raw_weights_match_all_rows_reference(self):
+        # reference: loading tables fitted on all N rows, as the estimator
+        # once did, restricted to each quadrant's rows afterwards
+        dgp = gen_dgp(10, 12, [14, 9])
         grid = make_quantile_grid(9, 0.04)
-        config = EstimatorConfig(rank=1, max_outer_iters=3).resolved_for(dgp.panel)
+        config = EstimatorConfig(rank=1, max_outer_iters=3).with_bandwidth_for(dgp.panel)
         split = split_panel(dgp.panel)
+        levels = grid.all_stencil_levels()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cf = crossfit_estimates(dgp.panel, grid, config, split)
-            table, f_half = quadrant_weight_inputs(dgp.panel, grid, config, split, 2, 2)
-        assert np.allclose(f_half, cf.f_top, atol=1e-10)
-        assert np.allclose(table, cf.lam_tl[:, split.n2, :], atol=1e-10)
+            raw = raw_inverse_density(crossfit_estimates(dgp.panel, grid, config, split),
+                                      grid, split)
+            for a in (1, 2):
+                f_half = _half_factors(dgp.panel, grid, config, split.rows(3 - a))
+                for b in (1, 2):
+                    table = _loading_table(dgp.panel, config, f_half, np.arange(10),
+                                           split.cols(3 - b), levels)[:, split.rows(a)]
+                    block = np.ix_(split.rows(a), split.cols(b))
+                    for m in range(grid.m_count):
+                        idx = np.searchsorted(levels, grid.stencil_levels(m))
+                        deriv = fpdf_derivative(table[idx], grid.shift, grid.modes[m])
+                        ref = deriv @ f_half[split.cols(b)].T
+                        assert np.abs(raw[m][block] - ref).max() \
+                            <= 1e-12 * np.abs(ref).max()
