@@ -34,25 +34,28 @@ est, weights = idw_ufa_fit(dgp.panel, grid, config,
 est = align_factor_signs(est, dgp.normalized_factor)
 mean = mean_loadings(dgp.panel, est)
 covs = plugin_covariances(dgp.panel, est, weights, mean, grid)
+# every SE array at once; common-component SEs at the level asked for
+ses = {tau: standard_errors(est, covs, tau) for tau in (0.2, 0.5, 0.8)}
+se = ses[0.5]
 
 print("factor standard errors at a few periods:")
 for t in (10, 50, 90):
-    se = standard_errors(est, covs, "factor", t=t)[0]
-    z = (est.factors[t, 0] - dgp.normalized_factor[t, 0]) / se
-    print(f"  t={t:3d}: f_hat={est.factors[t, 0]:+.3f}  se={se:.3f}  z={z:+.2f}")
+    z = (est.factors[t, 0] - dgp.normalized_factor[t, 0]) / se.factor[t, 0]
+    print(f"  t={t:3d}: f_hat={est.factors[t, 0]:+.3f}  se={se.factor[t, 0]:.3f}  "
+          f"z={z:+.2f}")
 print()
 
 i, t = 49, 49
 print(f"fitted quantile surface at cell (i={i}, t={t}):")
-for tau in (0.2, 0.5, 0.8):
+for tau, se_tau in ses.items():
     m = int(np.flatnonzero(np.isclose(grid.levels, tau))[0])
     fitted = float(est.loadings[m, i] @ est.factors[t])
     truth = float(dgp.true_common(tau)[i, t])
-    se = standard_errors(est, covs, "common", tau=tau, i=i, t=t)
+    se_c = se_tau.common[i, t]
     print(f"  tau={tau}: fitted {fitted:+.3f}  true {truth:+.3f}  "
-          f"se {se:.3f}  z {(fitted - truth) / se:+.2f}")
+          f"se {se_c:.3f}  z {(fitted - truth) / se_c:+.2f}")
 print()
 
-se_mean = standard_errors(est, covs, "mean_loading", i=i)[0]
-print(f"mean loading of row {i}: {mean.lam_bar[i, 0]:+.4f} (se {se_mean:.4f}) "
+print(f"mean loading of row {i}: {mean.lam_bar[i, 0]:+.4f} "
+      f"(se {se.mean_loading[i, 0]:.4f}) "
       f"- the DGP's mean impact is nearly zero by design")

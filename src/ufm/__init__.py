@@ -8,7 +8,6 @@ thresholding nuclear-norm penalized fits.
 """
 
 from .errors import (
-    BandwidthBandWarning,
     ClippedFractionWarning,
     DegenerateRegressorsError,
     DuplicateCellError,
@@ -38,6 +37,7 @@ from .idw import (
 from .inference import (
     CovariancePack,
     MeanLoadings,
+    StandardErrors,
     mean_loadings,
     plugin_covariances,
     standard_errors,

@@ -60,8 +60,18 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def config_keys(self) -> dict:
+        """Config-file key -> option: each flag spelling without dashes, and the dest."""
+        keys = {}
+        for action in self._actions:
+            if action.option_strings and action.dest not in ("help", "config"):
+                for key in (action.dest, *(s.lstrip("-") for s in action.option_strings)):
+                    keys[key] = action
+        return keys
 
-def _build_parser() -> _Parser:
+
+def _build_parser() -> tuple[_Parser, dict]:
+    """The root parser, and each subcommand's parser by name."""
     parser = _Parser(prog="ufm", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -76,7 +86,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--kernel-order", dest="kernel_order", type=int, choices=[2, 14])
         p.add_argument("--C", dest="c", type=float, help="nuclear-norm penalty constant")
         p.add_argument("--Cr", dest="cr", type=float, help="rank threshold")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out-dir", dest="out_dir")
         p.add_argument("--config", help="flat key=value option file")
 
@@ -104,12 +113,16 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--sizes", type=int, nargs="+")
     p_sim.add_argument("--reps", type=int)
     p_sim.add_argument("--threads", type=int)
+    p_sim.add_argument("--seed", type=int)
     common(p_sim, input_required=False)
 
-    return parser
+    return parser, sub.choices
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, keys: dict) -> dict:
+    """Parse flat ``key = value`` lines into dest -> value, converted as the
+    flag's own value would be; a key that is no option of the subcommand is
+    an error."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -117,37 +130,29 @@ def _read_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"config line without '=': {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise ValueError(f"config key {key!r} is not an option of this subcommand")
+        action = keys[key]
+        convert = action.type or str
+        value = ([convert(v) for v in value.split()] if action.nargs == "+"
+                 else convert(value))
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r}: {value!r} is not one of "
+                             f"{list(action.choices)}")
+        out[action.dest] = value
     return out
 
 
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if key in ("m", "kernel_order", "seed", "reps", "threads", "table"):
-        return int(value)
-    if key in ("h", "hd", "c", "cr", "alpha", "tau"):
-        return float(value)
-    if key == "sizes":
-        return [int(v) for v in value.split()]
-    if key == "rank" and value != "auto":
-        return value
-    return value
-
-
-def _merged_options(args: argparse.Namespace) -> dict:
-    file_opts = _read_config_file(args.config) if getattr(args, "config", None) else {}
+def _merged_options(args: argparse.Namespace, keys: dict) -> dict:
+    """CLI flag > config file > built-in default, for the subcommand's own options."""
+    file_opts = _read_config_file(args.config, keys) if args.config else {}
     opts = {}
-    keys = set(_DEFAULTS) | set(file_opts) | set(vars(args))
-    for key in keys:
-        cli_val = getattr(args, key, None)
+    for key, cli_val in vars(args).items():
         if cli_val is not None:
             opts[key] = cli_val
-        elif key in file_opts:
-            opts[key] = _coerce(key, file_opts[key])
         else:
-            opts[key] = _DEFAULTS.get(key)
+            opts[key] = file_opts.get(key, _DEFAULTS.get(key))
     return opts
 
 
@@ -212,26 +217,17 @@ def _write_estimate(out_dir: Path, panel, grid, est, weights):
 def _write_ses(out_dir: Path, panel, grid, est, weights, tau_common=None):
     mean = mean_loadings(panel, est)
     covs = plugin_covariances(panel, est, weights, mean, grid)
-    t_len, r = est.factors.shape
-    se_f = np.stack([standard_errors(est, covs, "factor", t=t) for t in range(t_len)])
-    write_matrix(out_dir / "se_factors.csv", se_f, row_ids=list(panel.col_ids),
-                 col_ids=[f"f{j}" for j in range(r)])
-    n = panel.n_rows
-    for m, tau in enumerate(grid.levels):
-        se_l = np.stack([standard_errors(est, covs, "loading", tau=tau, i=i)
-                         for i in range(n)])
+    se = standard_errors(est, covs, tau_common)
+    f_ids = [f"f{j}" for j in range(est.rank)]
+    write_matrix(out_dir / "se_factors.csv", se.factor, row_ids=list(panel.col_ids),
+                 col_ids=f_ids)
+    for tau, se_l in zip(grid.levels, se.loading):
         write_matrix(out_dir / f"se_loadings_tau_{_tau_name(tau)}.csv", se_l,
-                     row_ids=list(panel.row_ids),
-                     col_ids=[f"f{j}" for j in range(r)])
-    if tau_common is not None:
-        se_c = np.empty((n, t_len))
-        for i in range(n):
-            for t in range(t_len):
-                se_c[i, t] = standard_errors(est, covs, "common",
-                                             tau=tau_common, i=i, t=t)
-        write_matrix(out_dir / f"se_common_tau_{_tau_name(tau_common)}.csv", se_c,
+                     row_ids=list(panel.row_ids), col_ids=f_ids)
+    if se.common is not None:
+        write_matrix(out_dir / f"se_common_tau_{_tau_name(tau_common)}.csv", se.common,
                      row_ids=list(panel.row_ids), col_ids=list(panel.col_ids))
-    return mean, covs
+    return mean, se
 
 
 def _manifest(out_dir: Path, opts: dict, keys, caught: list, started: float,
@@ -297,15 +293,12 @@ def _cmd_select(opts, out_dir):
 
 def _cmd_mean_loadings(opts, out_dir):
     panel, grid, config, report, est, weights = _fit_pipeline(opts, need_weights=True)
-    mean, covs = _write_ses(out_dir, panel, grid, est, weights)
+    mean, se = _write_ses(out_dir, panel, grid, est, weights)
+    f_ids = [f"f{j}" for j in range(est.rank)]
     write_matrix(out_dir / "mean_loadings.csv", mean.lam_bar,
-                 row_ids=list(panel.row_ids),
-                 col_ids=[f"f{j}" for j in range(est.rank)])
-    se = np.stack([standard_errors(est, covs, "mean_loading", i=i)
-                   for i in range(panel.n_rows)])
-    write_matrix(out_dir / "se_mean_loadings.csv", se,
-                 row_ids=list(panel.row_ids),
-                 col_ids=[f"f{j}" for j in range(est.rank)])
+                 row_ids=list(panel.row_ids), col_ids=f_ids)
+    write_matrix(out_dir / "se_mean_loadings.csv", se.mean_loading,
+                 row_ids=list(panel.row_ids), col_ids=f_ids)
     print(f"mean loadings written to {out_dir}")
     return {}
 
@@ -339,14 +332,14 @@ _COMMANDS = {
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.time()
     try:
-        opts = _merged_options(args)
+        opts = _merged_options(args, commands[args.command].config_keys())
         out_dir = Path(opts["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings(record=True) as rec:

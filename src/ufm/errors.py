@@ -71,7 +71,3 @@ class NearDegenerateEigsWarning(UfmWarning):
 
 class ClippedFractionWarning(UfmWarning):
     """More than 10% of inverse-density weights were clipped."""
-
-
-class BandwidthBandWarning(UfmWarning):
-    """Bandwidths fall outside the asymptotic feasibility band."""

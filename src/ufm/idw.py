@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BandwidthBandWarning,
-    ClippedFractionWarning,
-    SubsampleRankDeficientError,
-)
+from .errors import ClippedFractionWarning, SubsampleRankDeficientError
 from .panel import EstimatorConfig, FactorEstimate, PanelMatrix, QuantileGrid
 from .sqr import solve_sqr_batch
 from .kernels import gaussian_kernel
@@ -66,10 +62,6 @@ class WeightTensor:
             raise ValueError("weights violate the clipping bounds")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-
-    @classmethod
-    def ones(cls, m: int, n: int, t: int) -> "WeightTensor":
-        return cls(np.ones((m, n, t)), clip_lo=1.0, clip_hi=1.0)
 
 
 def split_panel(panel: PanelMatrix) -> SplitIndex:
@@ -257,13 +249,6 @@ def idw_ufa_fit(
     recommended warm-start chain. An unset ``box_bound`` is resolved from
     the full panel for the refit and from each sub-panel in the cross-fit.
     """
-    zeta = 1.0 / np.sqrt(panel.n_rows) + 1.0 / np.sqrt(panel.n_cols)
-    h = config.with_bandwidth_for(panel).bandwidth_h
-    if not (zeta / h**5 < grid.shift < h):
-        warnings.warn(
-            f"(h_d={grid.shift:.3g}, h={h:.3g}) falls outside the asymptotic "
-            f"band ({zeta / h**5:.3g}, {h:.3g}); finite-sample results may "
-            "still be fine", BandwidthBandWarning, stacklevel=2)
     split = split_panel(panel)
     crossfit = crossfit_estimates(panel, grid, config, split)
     weights = inverse_density_weights(crossfit, grid, split)

@@ -1,10 +1,13 @@
-"""Mean loadings and plug-in covariance matrices for standard errors.
+"""Mean loadings, plug-in covariance matrices, and standard errors.
 
 Under the normalization F'F/T = I the mean loadings solve per-row least
 squares in closed form. All asymptotic covariances are evaluated in the
 rotated coordinates by plugging the estimated loadings, factors, and
 clipped inverse-density weights straight into their defining sums; the
 unknown rotation cancels out of every reported standard error.
+``standard_errors`` turns one covariance pack into the SE arrays of every
+factor, loading and common component at once, following the plug-in forms
+of Bai (2003, Econometrica 71(1)).
 """
 
 from __future__ import annotations
@@ -113,46 +116,50 @@ def _level_index(levels: np.ndarray, tau: float) -> int:
     return int(hits[0])
 
 
+@dataclass(frozen=True)
+class StandardErrors:
+    """Plug-in standard errors of every estimand, one array per kind."""
+
+    factor: np.ndarray          # (T, r) per-coordinate SEs of f_t
+    loading: np.ndarray         # (M, N, r) per-coordinate SEs of lambda_i(tau_m)
+    mean_loading: np.ndarray    # (N, r) per-coordinate SEs of lam_bar_i
+    mean_common: np.ndarray     # (N, T) SE of lam_bar_i'f_t
+    common: np.ndarray | None   # (N, T) SE of lambda_i(tau)'f_t; None without tau
+
+
 def standard_errors(
     estimate: FactorEstimate,
     covs: CovariancePack,
-    target: str,
-    *,
-    t: int | None = None,
     tau: float | None = None,
-    i: int | None = None,
-):
-    """Plug-in standard errors for a chosen estimand.
+) -> StandardErrors:
+    """Every plug-in standard error in one pass over the covariance stacks.
 
-    target 'factor'       (needs t):        per-coordinate SEs of f_t
-    target 'loading'      (needs tau, i):   per-coordinate SEs of lambda_i(tau)
-    target 'common'       (needs tau, i, t) scalar SE of lambda_i(tau)'f_t
-    target 'mean_loading' (needs i):        per-coordinate SEs of lam_bar_i
-    target 'mean_common'  (needs i, t):     scalar SE of lam_bar_i'f_t
+    With mid_t = Phi^-1 Sigma_f(t) Phi^-1, a factor coordinate has variance
+    diag(mid_t) / N and a loading coordinate diag(Sigma_load) / T. The common
+    component lambda_i'f_t adds both sources: lambda_i' mid_t lambda_i / N
+    plus f_t' Sigma f_t / T, with Sigma_load at level ``tau`` (which must be
+    an estimated level) or Sigma_mean for the mean model.
     """
+    f = estimate.factors
     n = estimate.loadings.shape[1]
-    t_len = estimate.factors.shape[0]
+    t_len = f.shape[0]
     phi_inv = _phi_inverse(covs.phi)
+    mid = phi_inv @ covs.sigma_f @ phi_inv            # (T, r, r)
 
-    if target == "factor":
-        mid = phi_inv @ covs.sigma_f[t] @ phi_inv
-        return np.sqrt(np.diag(mid) / n)
-    if target == "loading":
+    def diag_se(stack, count):
+        return np.sqrt(np.diagonal(stack, axis1=-2, axis2=-1) / count)
+
+    def common_se(lam, sigma_rows):
+        var = (np.einsum("nr,trs,ns->nt", lam, mid, lam) / n
+               + np.einsum("tr,nrs,ts->nt", f, sigma_rows, f) / t_len)
+        return np.sqrt(var)
+
+    common = None
+    if tau is not None:
         m = _level_index(covs.levels, tau)
-        return np.sqrt(np.diag(covs.sigma_load[m, i]) / t_len)
-    if target == "common":
-        m = _level_index(covs.levels, tau)
-        lam_i = estimate.loadings[m, i]
-        f_t = estimate.factors[t]
-        var = (lam_i @ phi_inv @ covs.sigma_f[t] @ phi_inv @ lam_i / n
-               + f_t @ covs.sigma_load[m, i] @ f_t / t_len)
-        return float(np.sqrt(var))
-    if target == "mean_loading":
-        return np.sqrt(np.diag(covs.sigma_mean[i]) / t_len)
-    if target == "mean_common":
-        lam_i = covs.lam_bar[i]
-        f_t = estimate.factors[t]
-        var = (lam_i @ phi_inv @ covs.sigma_f[t] @ phi_inv @ lam_i / n
-               + f_t @ covs.sigma_mean[i] @ f_t / t_len)
-        return float(np.sqrt(var))
-    raise ValueError(f"unknown target {target!r}")
+        common = common_se(estimate.loadings[m], covs.sigma_load[m])
+    return StandardErrors(factor=diag_se(mid, n),
+                          loading=diag_se(covs.sigma_load, t_len),
+                          mean_loading=diag_se(covs.sigma_mean, t_len),
+                          mean_common=common_se(covs.lam_bar, covs.sigma_mean),
+                          common=common)

@@ -261,9 +261,6 @@ class FactorEstimate:
     def m_count(self) -> int:
         return self.loadings.shape[0]
 
-    def loading(self, m: int) -> np.ndarray:
-        return self.loadings[m]
-
     def common_components(self) -> np.ndarray:
         """The fitted quantile surfaces Lambda(tau_m) F', stacked M x N x T."""
         return np.einsum("mnr,tr->mnt", self.loadings, self.factors)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergeWarning
+from .inference import _level_index
 from .kernels import gaussian_kernel, kernel_cdf, kernel_k, smoothed_value
 from .panel import EstimatorConfig, FactorEstimate, PanelMatrix, QuantileGrid
 from .ufa import _fix_column_signs
@@ -262,10 +263,7 @@ def select_factors(
         if grid is None:
             raise ValueError("a quantile target requires the grid")
         tau = float(target)
-        matches = np.flatnonzero(np.isclose(grid.levels, tau, rtol=0, atol=1e-12))
-        if matches.size == 0:
-            raise ValueError(f"tau={tau} is not a grid level")
-        lam = estimate.loadings[int(matches[0])]
+        lam = estimate.loadings[_level_index(grid.levels, tau)]
         label = f"quantile({tau})"
     n = lam.shape[0]
     t = f.shape[0]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateRegressorsError, UfmWarning
 from .idw import idw_ufa_fit
-from .inference import mean_loadings, plugin_covariances, standard_errors
+from .inference import _level_index, mean_loadings, plugin_covariances, standard_errors
 from .output import write_csv, write_json
 from .panel import (
     EstimatorConfig,
@@ -144,11 +144,8 @@ def qfa_fit(
             warm = warm_start_from_profile(pel_profile(panel, warm_grid), r, config)
         if warm_grid is None:
             raise ValueError("ini_UFA needs the grid the warm start was built on")
-        hits = np.flatnonzero(np.isclose(warm_grid.levels, tau, rtol=0, atol=1e-12))
-        if hits.size == 0:
-            raise ValueError(f"tau={tau} is not a level of the warm-start grid")
         start = FactorEstimate(factors=warm.factors,
-                               loadings=warm.loadings[[int(hits[0])]],
+                               loadings=warm.loadings[[_level_index(warm_grid.levels, tau)]],
                                eigenvalues=warm.eigenvalues[:r])
     else:
         raise ValueError("init must be 'ini_tau' or 'ini_UFA'")
@@ -297,14 +294,14 @@ def _table4_rep(spec: ExperimentSpec, seed: int, size: int, rep: int,
     covs = plugin_covariances(dgp.panel, est, weights, mean, grid)
     i_star, t_star = size // 2 - 1, size // 2 - 1
     out = {"size": size, "rep": rep}
-    se_f = standard_errors(est, covs, "factor", t=t_star)[0]
+    ses = {tau: standard_errors(est, covs, tau) for tau in _T4_TAUS}
+    se_f = ses[_T4_TAUS[0]].factor[t_star, 0]
     out["f_std"] = float((est.factors[t_star, 0] - dgp.normalized_factor[t_star, 0]) / se_f)
-    for tau in _T4_TAUS:
-        m = int(np.flatnonzero(np.isclose(grid.levels, tau, rtol=0, atol=1e-12))[0])
+    for tau, se in ses.items():
+        m = _level_index(grid.levels, tau)
         fitted = float(est.loadings[m, i_star] @ est.factors[t_star])
         true_val = float(dgp.true_common(tau)[i_star, t_star])
-        se_c = standard_errors(est, covs, "common", tau=tau, i=i_star, t=t_star)
-        out[f"L_std_{tau}"] = (fitted - true_val) / se_c
+        out[f"L_std_{tau}"] = float((fitted - true_val) / se.common[i_star, t_star])
     return out
 
 

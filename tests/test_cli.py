@@ -5,6 +5,7 @@ import pytest
 
 import ufm.cli as cli
 from ufm.cli import run_cli
+from ufm.inference import plugin_covariances
 from ufm.panel import PanelMatrix, load_panel, save_panel
 from ufm.simlab import gen_dgp
 
@@ -108,6 +109,24 @@ class TestOtherCommands:
         assert (out / "mean_loadings.csv").exists()
         assert (out / "se_mean_loadings.csv").exists()
 
+    def test_mean_loading_ses_follow_sigma_mean(self, panel_csv, tmp_path, monkeypatch):
+        packs = []
+
+        def keep(*args):
+            packs.append(plugin_covariances(*args))
+            return packs[-1]
+
+        monkeypatch.setattr(cli, "plugin_covariances", keep)
+        path, _ = panel_csv
+        out = tmp_path / "out"
+        assert run_cli(["mean-loadings", "--input", str(path), "--M", "5",
+                        "--out-dir", str(out)]) == 0
+        (covs,) = packs
+        want = np.sqrt(np.diagonal(covs.sigma_mean, axis1=1, axis2=2) / 16)
+        got = load_panel(out / "se_mean_loadings.csv").values
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+
     def test_infer_common_se(self, panel_csv, tmp_path):
         path, _ = panel_csv
         out = tmp_path / "out"
@@ -123,15 +142,39 @@ class TestConfigAndErrors:
     def test_config_file_and_cli_precedence(self, panel_csv, tmp_path):
         path, _ = panel_csv
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("M = 5\nrank = 1\nseed = 42\n")
+        cfg.write_text("M = 5\nrank = 1\nc = 0.3\n")
         out = tmp_path / "out"
         code = run_cli(["estimate", "--method", "ufa", "--input", str(path),
                         "--config", str(cfg), "--M", "3", "--out-dir", str(out)])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["m"] == 3          # CLI wins over file
-        assert manifest["config"]["seed"] == 42      # file wins over default
+        assert manifest["config"]["c"] == 0.3        # file wins over default
         assert len(list(out.glob("loadings_tau_*.csv"))) == 3
+
+    @pytest.mark.parametrize("line", ["M = 5", "m = 5"])
+    def test_config_file_sets_flag_by_either_spelling(self, panel_csv, tmp_path, line):
+        path, _ = panel_csv
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\nrank = 1\n")
+        out = tmp_path / "out"
+        assert run_cli(["estimate", "--method", "ufa", "--input", str(path),
+                        "--config", str(cfg), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["m"] == 5
+        assert len(list(out.glob("loadings_tau_*.csv"))) == 5
+
+    @pytest.mark.parametrize("line", ["threads = 2", "seed = 42", "bogus = 1",
+                                      "kernel-order = 3"])
+    def test_config_file_rejects_unknown_keys_and_bad_values(self, panel_csv, tmp_path,
+                                                             line):
+        path, _ = panel_csv
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        code = run_cli(["estimate", "--input", str(path), "--config", str(cfg),
+                        "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def _assert_tau_rejected_before_fit(command, tau, panel_csv, tmp_path, monkeypatch):
@@ -167,16 +210,24 @@ class TestConfigAndErrors:
         assert code == 1
         assert not (tmp_path / "out").exists()
 
+    def test_seed_only_on_simulate(self, panel_csv, tmp_path):
+        path, _ = panel_csv
+        code = run_cli(["estimate", "--input", str(path), "--seed", "1",
+                        "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_config_lists_subcommand_options_only(self, panel_csv, tmp_path):
         path, _ = panel_csv
         out = tmp_path / "out"
         assert run_cli(["rank", "--input", str(path), "--M", "5",
                         "--out-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert {"m", "c", "seed"} <= set(manifest["config"])
-        assert not {"reps", "sizes", "table", "threads", "method", "tau"} \
+        assert {"m", "c"} <= set(manifest["config"])
+        assert not {"reps", "sizes", "table", "threads", "seed", "method", "tau"} \
             & set(manifest["config"])
         assert {"r_hat", "threshold"} <= set(manifest)
+        assert manifest["seed"] is None
 
     def test_usage_error_exit_code(self):
         assert run_cli(["estimate"]) == 1            # missing --input

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from conftest import FitOnRead, TracingPanel
-from ufm.errors import BandwidthBandWarning, ClippedFractionWarning
+from ufm.errors import ClippedFractionWarning
 from ufm.idw import (
     WeightTensor,
     _half_factors,
@@ -13,7 +13,6 @@ from ufm.idw import (
     clip_weights,
     crossfit_estimates,
     fpdf_derivative,
-    idw_ufa_fit,
     inverse_density_weights,
     quadrant_crossfit,
     raw_inverse_density,
@@ -186,11 +185,9 @@ class TestInverseDensityWeights:
         panel = PanelMatrix.from_values(np.outer(lam, f))
         config = EstimatorConfig(rank=1, bandwidth_h=1e-5)
         split = split_panel(panel)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BandwidthBandWarning)
-            cf = crossfit_estimates(panel, GRID, config, split)
-            with pytest.warns(ClippedFractionWarning):
-                weights = inverse_density_weights(cf, GRID, split)
+        cf = crossfit_estimates(panel, GRID, config, split)
+        with pytest.warns(ClippedFractionWarning):
+            weights = inverse_density_weights(cf, GRID, split)
         assert np.allclose(weights.w, weights.clip_lo)
 
     def test_boundary_stencils_end_to_end(self):
@@ -237,15 +234,6 @@ class TestIdwUfa:
             a = ufa_fit(dgp.panel, GRID, config, weights=w)
             b = ufa_fit(dgp.panel, GRID, config, weights=3.7 * w)
         assert np.abs(a.factors - b.factors).max() <= 1e-8
-
-    def test_band_warning_at_paper_defaults(self):
-        dgp = gen_dgp(20, 20, [13, 3])
-        config = EstimatorConfig(rank=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            warnings.simplefilter("always", BandwidthBandWarning)
-            with pytest.warns(BandwidthBandWarning):
-                idw_ufa_fit(dgp.panel, GRID, config)
 
 
 class TestIndependenceStructure:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ufm.errors import SingularPhiError
 from ufm.idw import WeightTensor
@@ -149,6 +151,38 @@ class TestPluginCovariances:
             plugin_covariances(panel, est, weights, mean_loadings(panel, est), grid)
 
 
+def _spd(rng, r, count=None):
+    """Random symmetric positive definite r x r matrices, with off-diagonal terms."""
+    shape = (r, r) if count is None else (count, r, r)
+    a = rng.normal(size=shape)
+    return a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(r)
+
+
+def _scalar_reference(est, covs, tau):
+    """The plug-in formulas one cell at a time, with an explicit inverse."""
+    m_count, n, r = est.loadings.shape
+    f = est.factors
+    t_len = f.shape[0]
+    phi_inv = np.linalg.inv(covs.phi)
+    m = int(np.flatnonzero(covs.levels == tau)[0])
+    ref = {"factor": np.empty((t_len, r)), "loading": np.empty((m_count, n, r)),
+           "mean_loading": np.empty((n, r)), "common": np.empty((n, t_len)),
+           "mean_common": np.empty((n, t_len))}
+    for t in range(t_len):
+        ref["factor"][t] = np.sqrt(np.diag(phi_inv @ covs.sigma_f[t] @ phi_inv) / n)
+    for i in range(n):
+        for k in range(m_count):
+            ref["loading"][k, i] = np.sqrt(np.diag(covs.sigma_load[k, i]) / t_len)
+        ref["mean_loading"][i] = np.sqrt(np.diag(covs.sigma_mean[i]) / t_len)
+        for t in range(t_len):
+            for key, lam, sigma in (("common", est.loadings[m, i], covs.sigma_load[m, i]),
+                                    ("mean_common", covs.lam_bar[i], covs.sigma_mean[i])):
+                var = (lam @ phi_inv @ covs.sigma_f[t] @ phi_inv @ lam / n
+                       + f[t] @ sigma @ f[t] / t_len)
+                ref[key][i, t] = np.sqrt(var)
+    return ref
+
+
 class TestStandardErrors:
     def _unit_pack(self, n, t, sigma_f_scalar):
         levels = np.array([0.5])
@@ -165,28 +199,36 @@ class TestStandardErrors:
         n, t = 50, 20
         est = FactorEstimate(np.ones((t, 1)), np.ones((1, n, 1)), np.array([1.0]))
         covs = self._unit_pack(n, t, 2.0)
-        se = standard_errors(est, covs, "factor", t=3)
-        assert se[0] == pytest.approx(np.sqrt(2.0 / n))
+        se = standard_errors(est, covs)
+        assert se.factor.shape == (t, 1)
+        assert se.factor[3, 0] == pytest.approx(np.sqrt(2.0 / n))
+        assert se.common is None
 
     def test_loading_and_mean_targets(self):
         n, t = 8, 25
         est = FactorEstimate(np.ones((t, 1)), np.ones((1, n, 1)), np.array([1.0]))
         covs = self._unit_pack(n, t, 1.0)
-        assert standard_errors(est, covs, "loading", tau=0.5, i=2)[0] == \
-            pytest.approx(np.sqrt(0.25 / t))
-        assert standard_errors(est, covs, "mean_loading", i=2)[0] == \
-            pytest.approx(np.sqrt(0.09 / t))
+        se = standard_errors(est, covs)
+        assert se.loading.shape == (1, n, 1)
+        assert se.loading[0, 2, 0] == pytest.approx(np.sqrt(0.25 / t))
+        assert se.mean_loading.shape == (n, 1)
+        assert se.mean_loading[2, 0] == pytest.approx(np.sqrt(0.09 / t))
 
     def test_common_component_combines_terms(self):
         n, t = 50, 40
         est = FactorEstimate(np.ones((t, 1)), np.full((1, n, 1), 3.0),
                              np.array([1.0]))
         covs = self._unit_pack(n, t, 2.0)
-        got = standard_errors(est, covs, "common", tau=0.5, i=1, t=5)
-        expect = np.sqrt(9.0 * 2.0 / n + 0.25 / t)
-        assert got == pytest.approx(expect)
-        got_mean = standard_errors(est, covs, "mean_common", i=1, t=5)
-        assert got_mean == pytest.approx(np.sqrt(4.0 * 2.0 / n + 0.09 / t))
+        se = standard_errors(est, covs, tau=0.5)
+        assert se.common.shape == se.mean_common.shape == (n, t)
+        assert se.common[1, 5] == pytest.approx(np.sqrt(9.0 * 2.0 / n + 0.25 / t))
+        assert se.mean_common[1, 5] == pytest.approx(np.sqrt(4.0 * 2.0 / n + 0.09 / t))
+
+    def test_common_needs_an_estimated_level(self):
+        est = FactorEstimate(np.ones((4, 1)), np.ones((1, 3, 1)), np.array([1.0]))
+        covs = self._unit_pack(3, 4, 1.0)
+        with pytest.raises(ValueError):
+            standard_errors(est, covs, tau=0.500004)
 
     def test_factor_se_scales_with_n(self, rng):
         m, t, r = 2, 9, 1
@@ -199,14 +241,30 @@ class TestStandardErrors:
             weights = WeightTensor(np.ones((m, n, t)), 1.0, 1.0)
             covs = plugin_covariances(panel, est, weights,
                                       mean_loadings(panel, est), grid)
-            se = standard_errors(est, covs, "factor", t=0)
+            se = standard_errors(est, covs).factor[0, 0]
             if n == 20:
-                base = se[0]
+                base = se
             else:
-                assert se[0] == pytest.approx(base * ratio, rel=1e-10)
+                assert se == pytest.approx(base * ratio, rel=1e-10)
 
-    def test_unknown_target(self):
-        est = FactorEstimate(np.ones((4, 1)), np.ones((1, 3, 1)), np.array([1.0]))
-        covs = self._unit_pack(3, 4, 1.0)
-        with pytest.raises(ValueError):
-            standard_errors(est, covs, "volatility", t=0)
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.sampled_from([1, 2, 3]), m=st.integers(1, 3), n=st.integers(1, 6),
+           t=st.integers(1, 6), level=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_arrays_match_scalar_reference(self, r, m, n, t, level, seed):
+        # a non-diagonal Phi and full Sigma stacks: the only check of the
+        # off-diagonal algebra, since every pipeline fit has r = 1
+        rng = np.random.default_rng(seed)
+        levels = np.sort(rng.uniform(0.05, 0.95, size=m))
+        covs = CovariancePack(phi=_spd(rng, r), sigma_f=_spd(rng, r, t),
+                              sigma_load=_spd(rng, r, m * n).reshape(m, n, r, r),
+                              sigma_mean=_spd(rng, r, n), levels=levels,
+                              lam_bar=rng.normal(size=(n, r)))
+        est = FactorEstimate(rng.normal(size=(t, r)), rng.normal(size=(m, n, r)),
+                             np.arange(r, 0, -1.0))
+        tau = levels[min(level, m - 1)]
+        se = standard_errors(est, covs, tau)
+        for name, want in _scalar_reference(est, covs, tau).items():
+            got = getattr(se, name)
+            assert got.shape == want.shape, name
+            assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all(), name
