@@ -14,13 +14,11 @@ import numpy as np
 from ufm import (
     EstimatorConfig,
     adjusted_r2,
-    estimate_r,
+    fit_panel,
     gen_dgp,
-    idw_ufa_fit,
     make_quantile_grid,
     pca_fit,
     qfa_fit,
-    ufa_fit,
 )
 
 warnings.simplefilter("ignore")
@@ -28,19 +26,17 @@ warnings.simplefilter("ignore")
 dgp = gen_dgp(50, 50, seed=7)
 grid = make_quantile_grid(9, 0.04)
 
-report = estimate_r(dgp.panel, grid)
+# one chain: rank selection and warm start, the pooled fit, the weighted refit
+fit = fit_panel(dgp.panel, grid, EstimatorConfig(rank="auto"))
+report = fit.report
 print(f"estimated number of factors: {report.r_hat}")
 print("top pooled eigenvalues:", np.round(report.eigenvalues[:4], 4),
       f"(threshold {report.threshold:.4f})")
 print()
 
-config = EstimatorConfig(rank=report.r_hat)
-ufa_est = ufa_fit(dgp.panel, grid, config)
-idw_est, weights = idw_ufa_fit(dgp.panel, grid, config, init=ufa_est)
-
 rows = [
-    ("multi-level fit (UFA)", adjusted_r2(dgp.true_factor, ufa_est.factors)),
-    ("weighted refit (IDW-UFA)", adjusted_r2(dgp.true_factor, idw_est.factors)),
+    ("multi-level fit (UFA)", adjusted_r2(dgp.true_factor, fit.ufa.factors)),
+    ("weighted refit (IDW-UFA)", adjusted_r2(dgp.true_factor, fit.estimate.factors)),
     ("PCA", adjusted_r2(dgp.true_factor, pca_fit(dgp.panel, 1))),
     ("single level tau=0.5", adjusted_r2(
         dgp.true_factor, qfa_fit(dgp.panel, 0.5, 1, init="ini_tau").factors)),
@@ -51,4 +47,4 @@ print("adjusted R^2 of the true factor on each estimate:")
 for name, r2 in rows:
     print(f"  {name:28s} {r2:6.3f}")
 print()
-print(f"fraction of inverse-density weights clipped: {weights.clipped_fraction:.2%}")
+print(f"fraction of inverse-density weights clipped: {fit.weights.clipped_fraction:.2%}")

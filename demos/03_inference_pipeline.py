@@ -9,17 +9,14 @@ Run:  python demos/03_inference_pipeline.py   (about a minute)
 
 import warnings
 
-import numpy as np
-
 from ufm import (
     EstimatorConfig,
+    fit_panel,
     gen_dgp,
-    idw_ufa_fit,
     make_quantile_grid,
     mean_loadings,
     plugin_covariances,
     standard_errors,
-    ufa_fit,
 )
 from ufm.simlab import align_factor_signs
 
@@ -27,13 +24,11 @@ warnings.simplefilter("ignore")
 
 dgp = gen_dgp(100, 100, seed=3)
 grid = make_quantile_grid(9, 0.04)
-config = EstimatorConfig(rank=1)
 
-est, weights = idw_ufa_fit(dgp.panel, grid, config,
-                           init=ufa_fit(dgp.panel, grid, config))
-est = align_factor_signs(est, dgp.normalized_factor)
+fit = fit_panel(dgp.panel, grid, EstimatorConfig(rank=1))
+est = align_factor_signs(fit.estimate, dgp.normalized_factor)
 mean = mean_loadings(dgp.panel, est)
-covs = plugin_covariances(dgp.panel, est, weights, mean, grid)
+covs = plugin_covariances(dgp.panel, est, fit.weights, mean, grid)
 # every SE array at once; common-component SEs at the level asked for
 ses = {tau: standard_errors(est, covs, tau) for tau in (0.2, 0.5, 0.8)}
 se = ses[0.5]
@@ -48,8 +43,7 @@ print()
 i, t = 49, 49
 print(f"fitted quantile surface at cell (i={i}, t={t}):")
 for tau, se_tau in ses.items():
-    m = int(np.flatnonzero(np.isclose(grid.levels, tau))[0])
-    fitted = float(est.loadings[m, i] @ est.factors[t])
+    fitted = float(est.loadings[grid.index(tau), i] @ est.factors[t])
     truth = float(dgp.true_common(tau)[i, t])
     se_c = se_tau.common[i, t]
     print(f"  tau={tau}: fitted {fitted:+.3f}  true {truth:+.3f}  "

@@ -14,13 +14,12 @@ import numpy as np
 
 from ufm import (
     EstimatorConfig,
-    estimate_r,
+    fit_panel,
     gen_dgp,
     make_quantile_grid,
     mean_loadings,
     pel_fit,
     select_factors,
-    ufa_fit,
 )
 
 warnings.simplefilter("ignore")
@@ -34,14 +33,14 @@ sing = np.linalg.svd(surface, compute_uv=False)
 print("  top singular values:", np.round(sing[:4], 2), "- effectively rank one")
 print()
 
-report = estimate_r(dgp.panel, grid)
+# the penalized fits give the rank and warm-start the unweighted fit
+fit = fit_panel(dgp.panel, grid, EstimatorConfig(rank="auto"), weighted=False)
+report, est = fit.report, fit.estimate
 print(f"rank estimate: {report.r_hat} "
       f"(eigenvalues {np.round(report.eigenvalues[:3], 4)}, "
       f"threshold {report.threshold:.4f})")
 print()
 
-config = EstimatorConfig(rank=report.r_hat)
-est = ufa_fit(dgp.panel, grid, config)
 mean = mean_loadings(dgp.panel, est)
 
 print("strength selection at alpha = 1 (fully strong factors only):")

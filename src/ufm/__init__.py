@@ -25,11 +25,12 @@ from .errors import (
     UfmWarning,
 )
 from .idw import (
+    PanelFit,
     SplitIndex,
     WeightTensor,
     crossfit_estimates,
+    fit_panel,
     fpdf_derivative,
-    idw_ufa_fit,
     inverse_density_weights,
     quadrant_crossfit,
     split_panel,
@@ -67,7 +68,7 @@ from .ranksel import (
     estimate_r,
     pel_fit,
     select_factors,
-    warm_start,
+    warm_start_from_profile,
 )
 from .simlab import (
     DgpDraw,

@@ -19,19 +19,12 @@ import numpy as np
 
 from . import __version__
 from .errors import UfmError, UfmWarning
-from .idw import idw_ufa_fit
-from .inference import _level_index, mean_loadings, plugin_covariances, standard_errors
+from .idw import fit_panel
+from .inference import mean_loadings, plugin_covariances, standard_errors
 from .output import atomic_write_text, write_csv, write_json, write_matrix
 from .panel import EstimatorConfig, load_panel, make_quantile_grid
-from .ranksel import (
-    default_rank_threshold,
-    pel_profile,
-    rank_from_profile,
-    select_factors,
-    warm_start_from_profile,
-)
+from .ranksel import estimate_r, select_factors
 from .simlab import ExperimentSpec, monte_carlo_run
-from .ufa import ufa_fit
 
 _DEFAULTS = {
     "layout": "wide",
@@ -156,40 +149,25 @@ def _merged_options(args: argparse.Namespace, keys: dict) -> dict:
     return opts
 
 
-def _estimator_config(opts: dict) -> EstimatorConfig:
-    rank = opts["rank"]
-    if isinstance(rank, str) and rank != "auto":
-        rank = int(rank)
-    return EstimatorConfig(rank=rank, bandwidth_h=opts["h"],
-                           kernel_order=opts["kernel_order"])
-
-
 def _check_tau(opts: dict) -> None:
     """Reject a --tau off the quantile grid before any fitting starts."""
     if opts["tau"] is not None:
-        _level_index(make_quantile_grid(opts["m"], opts["hd"]).levels, opts["tau"])
+        make_quantile_grid(opts["m"], opts["hd"]).index(opts["tau"])
 
 
-def _fit_pipeline(opts: dict, need_weights: bool):
-    """Shared front half: load, resolve rank, warm start, fit."""
-    panel = load_panel(opts["input"], opts["layout"])
-    grid = make_quantile_grid(opts["m"], opts["hd"])
-    config = _estimator_config(opts)
-    profile = pel_profile(panel, grid, opts["c"])
-    threshold = opts["cr"] if opts["cr"] is not None else default_rank_threshold(
-        panel.n_rows, panel.n_cols)
-    report = rank_from_profile(profile, threshold)
-    rank = report.r_hat if config.rank == "auto" else config.rank
-    if rank < 1:
-        raise UfmError("estimated rank is 0; nothing to fit")
-    config = config.with_rank(rank)
-    warm = warm_start_from_profile(profile, rank, config.resolved_for(panel))
-    if need_weights:
-        ufa_est = ufa_fit(panel, grid, config, init=warm)
-        est, weights = idw_ufa_fit(panel, grid, config, init=ufa_est)
-    else:
-        est, weights = ufa_fit(panel, grid, config, init=warm), None
-    return panel, grid, config, report, est, weights
+def _inputs(opts: dict):
+    return load_panel(opts["input"], opts["layout"]), make_quantile_grid(opts["m"], opts["hd"])
+
+
+def _fit(opts: dict, weighted: bool = True):
+    """The panel, its grid, and :func:`fit_panel` on them under the options."""
+    panel, grid = _inputs(opts)
+    rank = opts["rank"] if opts["rank"] == "auto" else int(opts["rank"])
+    config = EstimatorConfig(rank=rank, bandwidth_h=opts["h"],
+                             kernel_order=opts["kernel_order"])
+    fit = fit_panel(panel, grid, config, penalty_const=opts["c"], threshold=opts["cr"],
+                    weighted=weighted)
+    return panel, grid, fit
 
 
 def _tau_name(tau: float) -> str:
@@ -246,25 +224,20 @@ def _manifest(out_dir: Path, opts: dict, keys, caught: list, started: float,
 
 
 def _cmd_estimate(opts, out_dir):
-    need_w = opts["method"] == "idw-ufa"
-    panel, grid, config, report, est, weights = _fit_pipeline(opts, need_w)
+    panel, grid, fit = _fit(opts, weighted=opts["method"] == "idw-ufa")
+    est, weights = fit.estimate, fit.weights
     _write_estimate(out_dir, panel, grid, est, weights)
     if weights is not None:
         _write_ses(out_dir, panel, grid, est, weights)
-    print(f"rank used: {config.rank} (estimated {report.r_hat}); "
+    print(f"rank used: {est.rank} (estimated {fit.report.r_hat}); "
           f"converged: {est.converged}; outputs in {out_dir}")
-    return {"r_hat": report.r_hat, "rank_used": config.rank,
+    return {"r_hat": fit.report.r_hat, "rank_used": est.rank,
             "converged": bool(est.converged), "sweeps": est.n_outer,
             "clipped_fraction": weights.clipped_fraction if weights else 0.0}
 
 
 def _cmd_rank(opts, out_dir):
-    panel = load_panel(opts["input"], opts["layout"])
-    grid = make_quantile_grid(opts["m"], opts["hd"])
-    profile = pel_profile(panel, grid, opts["c"])
-    threshold = opts["cr"] if opts["cr"] is not None else default_rank_threshold(
-        panel.n_rows, panel.n_cols)
-    report = rank_from_profile(profile, threshold)
+    report = estimate_r(*_inputs(opts), opts["c"], opts["cr"])
     print(f"r_hat = {report.r_hat}  (threshold {report.threshold:.6g})")
     print("eigenvalues:", " ".join(f"{v:.6g}" for v in report.eigenvalues[:10]))
     write_csv(out_dir / "rank_eigenvalues.csv", ["j", "eigenvalue"],
@@ -274,7 +247,8 @@ def _cmd_rank(opts, out_dir):
 
 def _cmd_select(opts, out_dir):
     _check_tau(opts)
-    panel, grid, config, report, est, weights = _fit_pipeline(opts, need_weights=True)
+    panel, grid, fit = _fit(opts)
+    est = fit.estimate
     mean = mean_loadings(panel, est)
     if opts["tau"] is None:
         rep = select_factors(est, grid, mean.lam_bar, target="mean",
@@ -292,8 +266,9 @@ def _cmd_select(opts, out_dir):
 
 
 def _cmd_mean_loadings(opts, out_dir):
-    panel, grid, config, report, est, weights = _fit_pipeline(opts, need_weights=True)
-    mean, se = _write_ses(out_dir, panel, grid, est, weights)
+    panel, grid, fit = _fit(opts)
+    est = fit.estimate
+    mean, se = _write_ses(out_dir, panel, grid, est, fit.weights)
     f_ids = [f"f{j}" for j in range(est.rank)]
     write_matrix(out_dir / "mean_loadings.csv", mean.lam_bar,
                  row_ids=list(panel.row_ids), col_ids=f_ids)
@@ -305,10 +280,10 @@ def _cmd_mean_loadings(opts, out_dir):
 
 def _cmd_infer(opts, out_dir):
     _check_tau(opts)
-    panel, grid, config, report, est, weights = _fit_pipeline(opts, need_weights=True)
-    _write_ses(out_dir, panel, grid, est, weights, tau_common=opts["tau"])
+    panel, grid, fit = _fit(opts)
+    _write_ses(out_dir, panel, grid, fit.estimate, fit.weights, tau_common=opts["tau"])
     print(f"standard errors written to {out_dir}")
-    return {"clipped_fraction": weights.clipped_fraction}
+    return {"clipped_fraction": fit.weights.clipped_fraction}
 
 
 def _cmd_simulate(opts, out_dir):

@@ -11,6 +11,10 @@ factors fitted on the other row half, rows(3-a), so neither fit reads the
 quadrant's own cells. The second stage reruns the alternating fit on the
 full panel with each (level, row, column) term weighted by the estimated
 inverse density.
+
+:func:`fit_panel` runs the estimator's whole chain: PEL rank selection and
+warm start, the pooled-grid fit, and then the weighted refit. The command
+line, the simulation tables and the cross-fit's half-panel fits run it.
 """
 
 from __future__ import annotations
@@ -21,10 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClippedFractionWarning, SubsampleRankDeficientError
-from .panel import EstimatorConfig, FactorEstimate, PanelMatrix, QuantileGrid
-from .sqr import solve_sqr_batch
+from .errors import ClippedFractionWarning, SubsampleRankDeficientError, UfmError
 from .kernels import gaussian_kernel
+from .panel import EstimatorConfig, FactorEstimate, PanelMatrix, QuantileGrid
+from .ranksel import (
+    PelProfile,
+    RankReport,
+    pel_profile,
+    rank_from_profile,
+    warm_start_from_profile,
+)
+from .sqr import solve_sqr_batch
 from .ufa import ufa_fit
 
 _CLIP_LO_FACTOR = 0.05
@@ -112,7 +123,7 @@ def _half_factors(panel: PanelMatrix, grid: QuantileGrid, config: EstimatorConfi
                   rows: np.ndarray) -> np.ndarray:
     """Full-length factors estimated from one horizontal half of the panel."""
     half = _sub_panel(panel, rows, np.arange(panel.n_cols))
-    est = ufa_fit(half, grid, config)
+    est = fit_panel(half, grid, config, weighted=False).estimate
     eigs = est.eigenvalues
     if eigs[-1] <= 0 or eigs[-1] < 1e-10 * max(eigs[0], 1e-300):
         raise SubsampleRankDeficientError(
@@ -236,23 +247,48 @@ def inverse_density_weights(crossfit: dict, grid: QuantileGrid,
                         float(np.median(np.abs(surface))))
 
 
-def idw_ufa_fit(
+@dataclass(frozen=True)
+class PanelFit:
+    """Every stage of one :func:`fit_panel` run."""
+
+    profile: PelProfile
+    report: RankReport
+    ufa: FactorEstimate                 # the pooled-grid first stage
+    estimate: FactorEstimate            # the weighted refit, or ``ufa`` unweighted
+    weights: WeightTensor | None        # None unweighted
+
+
+def fit_panel(
     panel: PanelMatrix,
     grid: QuantileGrid,
     config: EstimatorConfig,
-    init: FactorEstimate | None = None,
-) -> tuple[FactorEstimate, WeightTensor]:
-    """Two-stage fit: cross-fit inverse densities, then a weighted refit.
+    *,
+    penalty_const: float = 0.2,
+    threshold: float | None = None,
+    weighted: bool = True,
+) -> PanelFit:
+    """The estimator's chain: rank, warm start, pooled-grid fit, weighted refit.
 
-    ``init`` seeds the weighted full-panel stage; by default the plain
-    unweighted fit of the full panel is computed and used, mirroring the
-    recommended warm-start chain. An unset ``box_bound`` is resolved from
-    the full panel for the refit and from each sub-panel in the cross-fit.
+    The PEL profile at ``penalty_const`` gives the rank report (``threshold``
+    defaults to :func:`~ufm.ranksel.default_rank_threshold`) and the warm
+    start. ``config.rank == "auto"`` fits the estimated rank and raises
+    :class:`UfmError` when it is 0. With ``weighted``, inverse densities are
+    cross-fitted and the full panel is refitted with them, starting from the
+    first stage. An unset ``box_bound`` is resolved from the full panel for
+    the full-panel fits and from each sub-panel in the cross-fit.
     """
+    profile = pel_profile(panel, grid, penalty_const)
+    report = rank_from_profile(profile, threshold)
+    rank = report.r_hat if config.rank == "auto" else config.rank
+    if rank < 1:
+        raise UfmError("estimated rank is 0; nothing to fit")
+    config = config.with_rank(rank)
+    warm = warm_start_from_profile(profile, rank, config.resolved_for(panel))
+    first = ufa_fit(panel, grid, config, init=warm)
+    if not weighted:
+        return PanelFit(profile, report, first, first, None)
     split = split_panel(panel)
-    crossfit = crossfit_estimates(panel, grid, config, split)
-    weights = inverse_density_weights(crossfit, grid, split)
-    if init is None:
-        init = ufa_fit(panel, grid, config)
-    est = ufa_fit(panel, grid, config, init=init, weights=weights.w)
-    return est, weights
+    weights = inverse_density_weights(crossfit_estimates(panel, grid, config, split),
+                                      grid, split)
+    est = ufa_fit(panel, grid, config, init=first, weights=weights.w)
+    return PanelFit(profile, report, first, est, weights)

@@ -37,7 +37,7 @@ class CovariancePack:
     sigma_f: np.ndarray      # (T, r, r), one per time period
     sigma_load: np.ndarray   # (M, N, r, r), one per (level, row)
     sigma_mean: np.ndarray   # (N, r, r), one per row
-    levels: np.ndarray       # (M,) quantile levels indexing sigma_load
+    grid: QuantileGrid       # the levels indexing sigma_load
     lam_bar: np.ndarray      # (N, r) mean loadings used for mean targets
 
 
@@ -98,7 +98,7 @@ def plugin_covariances(
     sigma_mean = _symmetrize(np.einsum("nt,trs->nrs", mean.residuals**2, fgram) / t)
 
     return CovariancePack(phi=phi, sigma_f=sigma_f, sigma_load=sigma_load,
-                          sigma_mean=sigma_mean, levels=np.array(taus),
+                          sigma_mean=sigma_mean, grid=grid,
                           lam_bar=np.array(mean.lam_bar))
 
 
@@ -107,13 +107,6 @@ def _phi_inverse(phi: np.ndarray) -> np.ndarray:
     floor = 1e-12 * np.trace(phi)
     vals = np.maximum(vals, floor)
     return (vecs / vals) @ vecs.T
-
-
-def _level_index(levels: np.ndarray, tau: float) -> int:
-    hits = np.flatnonzero(np.isclose(levels, tau, rtol=0, atol=1e-12))
-    if hits.size == 0:
-        raise ValueError(f"tau={tau} is not one of the estimated levels")
-    return int(hits[0])
 
 
 @dataclass(frozen=True)
@@ -156,7 +149,7 @@ def standard_errors(
 
     common = None
     if tau is not None:
-        m = _level_index(covs.levels, tau)
+        m = covs.grid.index(tau)
         common = common_se(estimate.loadings[m], covs.sigma_load[m])
     return StandardErrors(factor=diag_se(mid, n),
                           loading=diag_se(covs.sigma_load, t_len),

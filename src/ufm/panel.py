@@ -129,6 +129,13 @@ class QuantileGrid:
         out = np.concatenate([self.stencil_levels(m) for m in range(self.m_count)])
         return np.unique(out)
 
+    def index(self, tau: float) -> int:
+        """Position of level ``tau`` on the grid, matched to within 1e-12."""
+        hits = np.flatnonzero(np.isclose(self.levels, tau, rtol=0, atol=1e-12))
+        if hits.size == 0:
+            raise ValueError(f"tau={tau} is not one of the estimated levels")
+        return int(hits[0])
+
 
 def _stencil_mode(tau: float, h_d: float) -> str:
     if tau - 2.0 * h_d <= FORWARD_EDGE:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergeWarning
-from .inference import _level_index
 from .kernels import gaussian_kernel, kernel_cdf, kernel_k, smoothed_value
 from .panel import EstimatorConfig, FactorEstimate, PanelMatrix, QuantileGrid
 from .ufa import _fix_column_signs
@@ -190,7 +189,12 @@ def pel_profile(panel: PanelMatrix, grid: QuantileGrid,
                       eigenvectors=eigvecs[:, order], penalty_const=penalty_const)
 
 
-def rank_from_profile(profile: PelProfile, threshold: float) -> RankReport:
+def rank_from_profile(profile: PelProfile, threshold: float | None = None) -> RankReport:
+    """Count the pooled eigenvalues at or above ``threshold``, by default
+    :func:`default_rank_threshold` of the profiled panel's N and T."""
+    if threshold is None:
+        _, n, t = profile.surfaces.shape
+        threshold = default_rank_threshold(n, t)
     eig = profile.eigenvalues
     return RankReport(eigenvalues=eig, r_hat=int(np.sum(eig >= threshold)),
                       threshold=float(threshold), penalty_const=profile.penalty_const)
@@ -199,13 +203,17 @@ def rank_from_profile(profile: PelProfile, threshold: float) -> RankReport:
 def estimate_r(panel: PanelMatrix, grid: QuantileGrid, penalty_const: float = 0.2,
                threshold: float | None = None) -> RankReport:
     """Thresholded eigenvalue count of the pooled penalized surfaces."""
-    if threshold is None:
-        threshold = default_rank_threshold(panel.n_rows, panel.n_cols)
     return rank_from_profile(pel_profile(panel, grid, penalty_const), threshold)
 
 
 def warm_start_from_profile(profile: PelProfile, rank: int,
                             config: EstimatorConfig | None = None) -> FactorEstimate:
+    """Initial factors and loadings from the penalized fits: sqrt(T) times the
+    top ``rank`` pooled eigenvectors, with each surface's loadings on them.
+
+    A box set in ``config`` clips both. A one-level grid's profile gives the
+    single-quantile variant.
+    """
     if rank < 1:
         raise ValueError("warm start needs rank >= 1")
     t = profile.eigenvectors.shape[0]
@@ -217,22 +225,6 @@ def warm_start_from_profile(profile: PelProfile, rank: int,
         lam = np.clip(lam, -b, b)
     return FactorEstimate(factors=f, loadings=lam,
                           eigenvalues=profile.eigenvalues[:rank])
-
-
-def warm_start(panel: PanelMatrix, grid: QuantileGrid, report,
-               config: EstimatorConfig | None = None,
-               profile: PelProfile | None = None) -> FactorEstimate:
-    """Initial factors/loadings from the penalized fits.
-
-    ``report`` is a :class:`RankReport` (its ``r_hat`` is used) or a plain
-    integer rank. A one-level grid produces the single-quantile variant.
-    """
-    rank = report.r_hat if isinstance(report, RankReport) else int(report)
-    if profile is None:
-        profile = pel_profile(panel, grid)
-    if config is not None:
-        config = config.resolved_for(panel)
-    return warm_start_from_profile(profile, rank, config)
 
 
 def select_factors(
@@ -263,7 +255,7 @@ def select_factors(
         if grid is None:
             raise ValueError("a quantile target requires the grid")
         tau = float(target)
-        lam = estimate.loadings[_level_index(grid.levels, tau)]
+        lam = estimate.loadings[grid.index(tau)]
         label = f"quantile({tau})"
     n = lam.shape[0]
     t = f.shape[0]

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateRegressorsError, UfmWarning
-from .idw import idw_ufa_fit
-from .inference import _level_index, mean_loadings, plugin_covariances, standard_errors
+from .idw import fit_panel
+from .inference import mean_loadings, plugin_covariances, standard_errors
 from .output import write_csv, write_json
 from .panel import (
     EstimatorConfig,
@@ -35,12 +35,7 @@ from .panel import (
     make_quantile_grid,
     single_level_grid,
 )
-from .ranksel import (
-    default_rank_threshold,
-    pel_profile,
-    rank_from_profile,
-    warm_start_from_profile,
-)
+from .ranksel import estimate_r, warm_start_from_profile
 from .ufa import _fix_column_signs, ufa_fit
 
 DEFAULT_SHIFT = 0.04
@@ -130,25 +125,20 @@ def qfa_fit(
     """Single-level alternating fit, warm-started two ways.
 
     ``init='ini_tau'`` warm-starts from a penalized fit at tau alone;
-    ``init='ini_UFA'`` reuses a multi-level warm start (pass it as ``warm``
-    together with its grid, or it is recomputed) and takes its loading at
-    tau.
+    ``init='ini_UFA'`` takes the loading at tau from a multi-level warm start,
+    passed as ``warm`` together with the grid it was built on, ``warm_grid``.
     """
-    config = (config or EstimatorConfig(rank=r)).with_rank(r).resolved_for(panel)
+    config = (config or EstimatorConfig(rank=r)).with_rank(r)
     grid1 = single_level_grid(tau, shift)
     if init == "ini_tau":
-        start = warm_start_from_profile(pel_profile(panel, grid1), r, config)
-    elif init == "ini_UFA":
-        if warm is None:
-            warm_grid = warm_grid or make_quantile_grid(DEFAULT_M, shift)
-            warm = warm_start_from_profile(pel_profile(panel, warm_grid), r, config)
-        if warm_grid is None:
-            raise ValueError("ini_UFA needs the grid the warm start was built on")
-        start = FactorEstimate(factors=warm.factors,
-                               loadings=warm.loadings[[_level_index(warm_grid.levels, tau)]],
-                               eigenvalues=warm.eigenvalues[:r])
-    else:
+        return fit_panel(panel, grid1, config, weighted=False).estimate
+    if init != "ini_UFA":
         raise ValueError("init must be 'ini_tau' or 'ini_UFA'")
+    if warm is None or warm_grid is None:
+        raise ValueError("ini_UFA needs the warm start and the grid it was built on")
+    start = FactorEstimate(factors=warm.factors,
+                           loadings=warm.loadings[[warm_grid.index(tau)]],
+                           eigenvalues=warm.eigenvalues[:r])
     return ufa_fit(panel, grid1, config, init=start)
 
 
@@ -213,19 +203,9 @@ def _rep_seed(seed: int, spec: ExperimentSpec, size: int, rep: int) -> list[int]
     return [int(seed), _TABLE_IDS[spec.name], int(size), int(rep)]
 
 
-def _rank_and_warm(dgp: DgpDraw, grid, spec: ExperimentSpec, config: EstimatorConfig):
-    profile = pel_profile(dgp.panel, grid, spec.penalty_const)
-    n, t = dgp.panel.n_rows, dgp.panel.n_cols
-    report = rank_from_profile(profile, default_rank_threshold(n, t))
-    r_hat = max(report.r_hat, 1)
-    warm = warm_start_from_profile(profile, r_hat, config.resolved_for(dgp.panel))
-    return report, r_hat, warm, profile
-
-
 def _table1_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> dict:
     dgp = gen_dgp(size, size, _rep_seed(seed, spec, size, rep))
-    grid = _grid(spec)
-    report, _, _, _ = _rank_and_warm(dgp, grid, spec, EstimatorConfig(rank=1))
+    report = estimate_r(dgp.panel, _grid(spec), spec.penalty_const)
     return {"size": size, "rep": rep, "r_hat": report.r_hat}
 
 
@@ -239,24 +219,21 @@ def _table2_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> list[di
         rows.append({"size": size, "rep": rep, "estimator": estimator,
                      "tau": tau, "adj_r2": adjusted_r2(dgp.true_factor, factors)})
 
-    need_ufa = {"ufa", "idw-ufa", "qfa-ini-ufa"} & set(spec.estimators)
-    if need_ufa:
-        _, r_hat, warm, profile = _rank_and_warm(dgp, grid, spec, config)
-        cfg_hat = config.with_rank(r_hat)
-        ufa_est = ufa_fit(dgp.panel, grid, cfg_hat, init=warm)
+    if {"ufa", "idw-ufa", "qfa-ini-ufa"} & set(spec.estimators):
+        fit = fit_panel(dgp.panel, grid, EstimatorConfig(rank="auto"),
+                        penalty_const=spec.penalty_const,
+                        weighted="idw-ufa" in spec.estimators)
         if "ufa" in spec.estimators:
-            emit("ufa", "", ufa_est.factors)
+            emit("ufa", "", fit.ufa.factors)
         if "idw-ufa" in spec.estimators:
-            idw_est, _ = idw_ufa_fit(dgp.panel, grid, cfg_hat, init=ufa_est)
-            emit("idw-ufa", "", idw_est.factors)
+            emit("idw-ufa", "", fit.estimate.factors)
         if "qfa-ini-ufa" in spec.estimators:
-            # the quantile-level baseline uses the true rank, like the multi
-            # level warm start restricted to its leading column
-            warm_true = warm if warm.rank == 1 else warm_start_from_profile(
-                profile, 1, config.resolved_for(dgp.panel))
+            # the quantile-level baseline uses the true rank: the multi-level
+            # warm start restricted to its leading column
+            warm = warm_start_from_profile(fit.profile, 1, config.resolved_for(dgp.panel))
             for tau in spec.taus:
                 est = qfa_fit(dgp.panel, tau, 1, init="ini_UFA", config=config,
-                              warm=warm_true, warm_grid=grid, shift=spec.shift)
+                              warm=warm, warm_grid=grid, shift=spec.shift)
                 emit("qfa-ini-ufa", tau, est.factors)
     if "qfa-ini-tau" in spec.estimators:
         for tau in spec.taus:
@@ -271,7 +248,8 @@ def _table2_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> list[di
 def _table3_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> dict:
     dgp = gen_dgp(size, size, _rep_seed(seed, spec, size, rep))
     grid = _grid(spec)
-    est, _ = idw_ufa_fit(dgp.panel, grid, EstimatorConfig(rank=1))
+    est = fit_panel(dgp.panel, grid, EstimatorConfig(rank=1),
+                    penalty_const=spec.penalty_const).estimate
     h_mat = rotation_scalar(est, dgp.normalized_factor)
     return {"size": size, "rep": rep, "h_abs_dev": float(np.abs(h_mat[0, 0] - 1.0))}
 
@@ -288,17 +266,18 @@ def _table4_rep(spec: ExperimentSpec, seed: int, size: int, rep: int,
     if dgp.truth_digest() != digest:
         raise AssertionError("fixed-truth protocol violated: truth changed across reps")
     grid = _grid(spec)
-    est, weights = idw_ufa_fit(dgp.panel, grid, EstimatorConfig(rank=1))
-    est = align_factor_signs(est, dgp.normalized_factor)
+    fit = fit_panel(dgp.panel, grid, EstimatorConfig(rank=1),
+                    penalty_const=spec.penalty_const)
+    est = align_factor_signs(fit.estimate, dgp.normalized_factor)
     mean = mean_loadings(dgp.panel, est)
-    covs = plugin_covariances(dgp.panel, est, weights, mean, grid)
+    covs = plugin_covariances(dgp.panel, est, fit.weights, mean, grid)
     i_star, t_star = size // 2 - 1, size // 2 - 1
     out = {"size": size, "rep": rep}
     ses = {tau: standard_errors(est, covs, tau) for tau in _T4_TAUS}
     se_f = ses[_T4_TAUS[0]].factor[t_star, 0]
     out["f_std"] = float((est.factors[t_star, 0] - dgp.normalized_factor[t_star, 0]) / se_f)
     for tau, se in ses.items():
-        m = _level_index(grid.levels, tau)
+        m = grid.index(tau)
         fitted = float(est.loadings[m, i_star] @ est.factors[t_star])
         true_val = float(dgp.true_common(tau)[i_star, t_star])
         out[f"L_std_{tau}"] = float((fitted - true_val) / se.common[i_star, t_star])

@@ -92,11 +92,12 @@ def ufa_fit(
     panel: PanelMatrix,
     grid: QuantileGrid,
     config: EstimatorConfig,
-    init: FactorEstimate | None = None,
+    init: FactorEstimate,
     weights: np.ndarray | None = None,
 ) -> FactorEstimate:
     """Fit factors and per-level loadings by alternating smoothed solves.
 
+    ``init`` is the starting point, and its rank is the rank fitted.
     ``weights``, when given, is an (M, N, T) tensor multiplying each
     observation's loss term; passing estimated inverse densities here turns
     this into the second stage of the weighted estimator.
@@ -104,18 +105,9 @@ def ufa_fit(
     config = config.resolved_for(panel)
     n, t = panel.n_rows, panel.n_cols
     m_count = grid.m_count
-    if init is not None:
-        r = init.rank
-    elif isinstance(config.rank, int):
-        r = config.rank
-    else:
-        raise ValueError("config.rank is 'auto'; estimate the rank first or pass an init")
+    r = init.rank
     if r >= min(n, t) / 2:
         raise RankTooLargeError(f"rank {r} too large for a {n}x{t} panel")
-    if init is None:
-        from .ranksel import warm_start
-
-        init = warm_start(panel, grid, r, config)
     if init.m_count != m_count or init.loadings.shape[1] != n or init.factors.shape[0] != t:
         raise ValueError("init shape does not match panel/grid")
     if weights is not None:

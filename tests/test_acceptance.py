@@ -17,17 +17,11 @@ from scipy.integrate import quad
 
 from conftest import FitOnRead, TracingPanel, gauss_legendre_check_loss
 from ufm.cli import run_cli
-from ufm.idw import _half_factors, idw_ufa_fit, quadrant_crossfit, split_panel
+from ufm.idw import _half_factors, fit_panel, quadrant_crossfit, split_panel
 from ufm.inference import mean_loadings, plugin_covariances
 from ufm.idw import WeightTensor
 from ufm.kernels import gaussian_kernel, kernel_cdf, kernel_k
 from ufm.panel import EstimatorConfig, PanelMatrix, make_quantile_grid
-from ufm.ranksel import (
-    default_rank_threshold,
-    pel_profile,
-    rank_from_profile,
-    warm_start_from_profile,
-)
 from ufm.simlab import (
     ExperimentSpec,
     adjusted_r2,
@@ -38,7 +32,6 @@ from ufm.simlab import (
     rotation_scalar,
 )
 from ufm.sqr import SqrObservation, solve_sqr
-from ufm.ufa import ufa_fit
 
 SEED = 112358
 # Fixed-truth seed chosen so the probed middle cell is informative: the
@@ -62,19 +55,11 @@ def _report(num, ok, detail):
 
 def _battery_rep_50(rep: int) -> dict:
     dgp = gen_dgp(50, 50, [SEED, 5, 50, rep])
-    config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
-    profile = pel_profile(dgp.panel, GRID, 0.2)
-    report = rank_from_profile(profile, default_rank_threshold(50, 50))
-    r_hat = max(report.r_hat, 1)
-    warm = warm_start_from_profile(profile, r_hat, config)
-    ufa_est = ufa_fit(dgp.panel, GRID, config.with_rank(r_hat), init=warm)
-    idw_est, _ = idw_ufa_fit(dgp.panel, GRID, config.with_rank(r_hat), init=ufa_est)
-    if r_hat == 1:
-        idw_r1 = idw_est
-    else:
-        warm1 = warm_start_from_profile(profile, 1, config)
-        ufa_r1 = ufa_fit(dgp.panel, GRID, config.with_rank(1), init=warm1)
-        idw_r1, _ = idw_ufa_fit(dgp.panel, GRID, config.with_rank(1), init=ufa_r1)
+    config = EstimatorConfig(rank="auto").resolved_for(dgp.panel)
+    fit = fit_panel(dgp.panel, GRID, config)
+    ufa_est, idw_est = fit.ufa, fit.estimate
+    idw_r1 = idw_est if idw_est.rank == 1 else fit_panel(
+        dgp.panel, GRID, config.with_rank(1)).estimate
     truth = dgp.true_factor
     return {
         "ufa": adjusted_r2(truth, ufa_est.factors),

@@ -181,7 +181,7 @@ class TestConfigAndErrors:
         def no_fit(*args, **kwargs):
             raise AssertionError("the fit started")
 
-        monkeypatch.setattr(cli, "_fit_pipeline", no_fit)
+        monkeypatch.setattr(cli, "fit_panel", no_fit)
         path, _ = panel_csv
         out = tmp_path / "out"
         code = run_cli([command, "--input", str(path), "--M", "5", "--tau", tau,
@@ -237,6 +237,22 @@ class TestConfigAndErrors:
         code = run_cli(["rank", "--input", str(tmp_path / "nope.csv"),
                         "--out-dir", str(tmp_path / "out")])
         assert code == 1
+
+    def test_zero_rank_estimate_fails_without_output(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        out = tmp_path / "out"
+        code = run_cli(["estimate", "--input", str(path), "--M", "5", "--Cr", "1e9",
+                        "--out-dir", str(out)])
+        assert code == 2
+        assert "estimated rank is 0; nothing to fit" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_zero_rank_is_a_rank_result(self, panel_csv, tmp_path):
+        path, _ = panel_csv
+        out = tmp_path / "out"
+        assert run_cli(["rank", "--input", str(path), "--M", "5", "--Cr", "1e9",
+                        "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["r_hat"] == 0
 
     def test_numeric_failure_exit_code(self, tmp_path):
         from ufm.panel import PanelMatrix

@@ -5,13 +5,14 @@ import pytest
 from scipy.stats import norm
 
 from conftest import FitOnRead, TracingPanel
-from ufm.errors import ClippedFractionWarning
+from ufm.errors import ClippedFractionWarning, UfmError
 from ufm.idw import (
     WeightTensor,
     _half_factors,
     _loading_table,
     clip_weights,
     crossfit_estimates,
+    fit_panel,
     fpdf_derivative,
     inverse_density_weights,
     quadrant_crossfit,
@@ -19,6 +20,12 @@ from ufm.idw import (
     split_panel,
 )
 from ufm.panel import EstimatorConfig, PanelMatrix, make_quantile_grid
+from ufm.ranksel import (
+    default_rank_threshold,
+    pel_profile,
+    rank_from_profile,
+    warm_start_from_profile,
+)
 from ufm.simlab import adjusted_r2, gen_dgp
 from ufm.ufa import ufa_fit
 
@@ -220,8 +227,9 @@ class TestIdwUfa:
         config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            plain = ufa_fit(dgp.panel, GRID, config)
-            forced = ufa_fit(dgp.panel, GRID, config,
+            warm = fit_panel(dgp.panel, GRID, config, weighted=False).ufa
+            plain = ufa_fit(dgp.panel, GRID, config, warm)
+            forced = ufa_fit(dgp.panel, GRID, config, warm,
                              weights=np.ones((9, 16, 16)))
         assert np.array_equal(plain.factors, forced.factors)
 
@@ -231,9 +239,75 @@ class TestIdwUfa:
         w = np.exp(np.random.default_rng(2).normal(size=(9, 16, 16)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = ufa_fit(dgp.panel, GRID, config, weights=w)
-            b = ufa_fit(dgp.panel, GRID, config, weights=3.7 * w)
+            warm = fit_panel(dgp.panel, GRID, config, weighted=False).ufa
+            a = ufa_fit(dgp.panel, GRID, config, warm, weights=w)
+            b = ufa_fit(dgp.panel, GRID, config, warm, weights=3.7 * w)
         assert np.abs(a.factors - b.factors).max() <= 1e-8
+
+
+def _chain_written_out(panel, grid, config, weighted):
+    """The estimator's chain spelled out call by call, as its callers wrote
+    it before it became one function, the half-panel fits included."""
+    profile = pel_profile(panel, grid, 0.2)
+    report = rank_from_profile(profile, default_rank_threshold(panel.n_rows,
+                                                               panel.n_cols))
+    rank = report.r_hat if config.rank == "auto" else config.rank
+    config = config.with_rank(rank)
+    warm = warm_start_from_profile(profile, rank, config.resolved_for(panel))
+    first = ufa_fit(panel, grid, config, init=warm)
+    if not weighted:
+        return report, first, first, None
+    split = split_panel(panel)
+    cf_config = config.with_bandwidth_for(panel)
+    halves = {}
+    for c in (1, 2):
+        half = PanelMatrix.from_values(panel.submatrix(split.rows(c),
+                                                       np.arange(panel.n_cols)))
+        half_warm = warm_start_from_profile(pel_profile(half, grid), rank,
+                                            cf_config.resolved_for(half))
+        halves[c] = ufa_fit(half, grid, cf_config, init=half_warm).factors
+    crossfit = {(a, b): quadrant_crossfit(panel, grid, cf_config, split, halves, a, b)
+                for a in (1, 2) for b in (1, 2)}
+    weights = inverse_density_weights(crossfit, grid, split)
+    return report, first, ufa_fit(panel, grid, config, init=first,
+                                  weights=weights.w), weights
+
+
+class TestFitPanel:
+    @pytest.mark.parametrize("rank", ["auto", 2])
+    def test_matches_the_chain_written_out(self, rank):
+        panel = gen_dgp(40, 40, [15, 1]).panel
+        config = EstimatorConfig(rank=rank)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for weighted in (False, True):
+                fit = fit_panel(panel, GRID, config, weighted=weighted)
+                report, first, est, weights = _chain_written_out(panel, GRID, config,
+                                                                 weighted)
+                assert fit.report.r_hat == report.r_hat == 1
+                assert np.array_equal(fit.report.eigenvalues, report.eigenvalues)
+                for got, want in ((fit.ufa, first), (fit.estimate, est)):
+                    assert got.rank == (1 if rank == "auto" else rank)
+                    assert np.array_equal(got.factors, want.factors)
+                    assert np.array_equal(got.loadings, want.loadings)
+                if weighted:
+                    assert np.array_equal(fit.weights.w, weights.w)
+                else:
+                    assert fit.estimate is fit.ufa and fit.weights is None
+
+    def test_zero_estimated_rank_raises(self):
+        panel = gen_dgp(16, 16, [5]).panel
+        with pytest.raises(UfmError, match="estimated rank is 0; nothing to fit"):
+            fit_panel(panel, GRID, EstimatorConfig(rank="auto"), threshold=1e9)
+
+    def test_fixed_rank_ignores_the_estimate(self):
+        panel = gen_dgp(16, 16, [5]).panel
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit = fit_panel(panel, GRID, EstimatorConfig(rank=1), threshold=1e9,
+                            weighted=False)
+        assert fit.report.r_hat == 0
+        assert fit.estimate.rank == 1
 
 
 class TestIndependenceStructure:

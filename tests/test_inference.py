@@ -6,14 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufm.errors import SingularPhiError
-from ufm.idw import WeightTensor
+from ufm.idw import WeightTensor, fit_panel
 from ufm.inference import (
     CovariancePack,
     mean_loadings,
     plugin_covariances,
     standard_errors,
 )
-from ufm.panel import EstimatorConfig, FactorEstimate, PanelMatrix, make_quantile_grid
+from ufm.panel import (
+    EstimatorConfig,
+    FactorEstimate,
+    PanelMatrix,
+    QuantileGrid,
+    make_quantile_grid,
+    single_level_grid,
+)
 from ufm.simlab import gen_dgp
 
 
@@ -85,9 +92,7 @@ class TestMeanLoadings:
         config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            from ufm.ufa import ufa_fit
-
-            est = ufa_fit(dgp.panel, grid, config)
+            est = fit_panel(dgp.panel, grid, config, weighted=False).estimate
         mean = mean_loadings(dgp.panel, est)
         mean_scale = np.linalg.norm(mean.lam_bar) / np.sqrt(100)
         level_scale = max(np.linalg.norm(est.loadings[m]) / np.sqrt(100)
@@ -164,7 +169,7 @@ def _scalar_reference(est, covs, tau):
     f = est.factors
     t_len = f.shape[0]
     phi_inv = np.linalg.inv(covs.phi)
-    m = int(np.flatnonzero(covs.levels == tau)[0])
+    m = int(np.flatnonzero(covs.grid.levels == tau)[0])
     ref = {"factor": np.empty((t_len, r)), "loading": np.empty((m_count, n, r)),
            "mean_loading": np.empty((n, r)), "common": np.empty((n, t_len)),
            "mean_common": np.empty((n, t_len))}
@@ -185,13 +190,12 @@ def _scalar_reference(est, covs, tau):
 
 class TestStandardErrors:
     def _unit_pack(self, n, t, sigma_f_scalar):
-        levels = np.array([0.5])
         return CovariancePack(
             phi=np.array([[1.0]]),
             sigma_f=np.full((t, 1, 1), sigma_f_scalar),
             sigma_load=np.full((1, n, 1, 1), 0.25),
             sigma_mean=np.full((n, 1, 1), 0.09),
-            levels=levels,
+            grid=single_level_grid(0.5, 0.04),
             lam_bar=np.full((n, 1), 2.0),
         )
 
@@ -258,7 +262,8 @@ class TestStandardErrors:
         levels = np.sort(rng.uniform(0.05, 0.95, size=m))
         covs = CovariancePack(phi=_spd(rng, r), sigma_f=_spd(rng, r, t),
                               sigma_load=_spd(rng, r, m * n).reshape(m, n, r, r),
-                              sigma_mean=_spd(rng, r, n), levels=levels,
+                              sigma_mean=_spd(rng, r, n),
+                              grid=QuantileGrid(levels, shift=0.01),
                               lam_bar=rng.normal(size=(n, r)))
         est = FactorEstimate(rng.normal(size=(t, r)), rng.normal(size=(m, n, r)),
                              np.arange(r, 0, -1.0))

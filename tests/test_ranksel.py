@@ -14,10 +14,10 @@ from ufm.ranksel import (
     rank_from_profile,
     select_factors,
     svt,
-    warm_start,
+    warm_start_from_profile,
 )
+from ufm.idw import fit_panel
 from ufm.simlab import gen_dgp
-from ufm.ufa import ufa_fit
 
 GRID = make_quantile_grid(9, 0.04)
 
@@ -174,7 +174,7 @@ class TestEstimateR:
 class TestWarmStart:
     def test_orthonormal_factors(self):
         dgp = gen_dgp(30, 30, [31, 3])
-        est = warm_start(dgp.panel, GRID, 1)
+        est = warm_start_from_profile(pel_profile(dgp.panel, GRID), 1)
         gram = est.factors.T @ est.factors / 30
         assert np.abs(gram - np.eye(1)).max() <= 1e-10
 
@@ -182,21 +182,21 @@ class TestWarmStart:
         lam = rng.uniform(0.5, 2.0, size=30)
         f = rng.uniform(0.5, 2.0, size=30)
         y = np.outer(lam, f)
-        est = warm_start(PanelMatrix.from_values(y), GRID, 1)
+        est = warm_start_from_profile(pel_profile(PanelMatrix.from_values(y), GRID), 1)
         fitted = est.loadings[4] @ est.factors.T
         assert np.linalg.norm(fitted - y) / np.linalg.norm(y) <= 0.15
 
     def test_single_level_variant(self):
         dgp = gen_dgp(24, 24, [31, 4])
         grid1 = single_level_grid(0.8, 0.04)
-        est = warm_start(dgp.panel, grid1, 1)
+        est = warm_start_from_profile(pel_profile(dgp.panel, grid1), 1)
         assert est.m_count == 1
         assert est.factors.shape == (24, 1)
 
     def test_rank_must_be_positive(self):
         dgp = gen_dgp(16, 16, [31, 5])
         with pytest.raises(ValueError):
-            warm_start(dgp.panel, GRID, 0)
+            warm_start_from_profile(pel_profile(dgp.panel, GRID), 0)
 
 
 class TestSelectFactors:
@@ -209,7 +209,7 @@ class TestSelectFactors:
         config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            est = ufa_fit(dgp.panel, GRID, config)
+            est = fit_panel(dgp.panel, GRID, config, weighted=False).estimate
         lam_bar = dgp.panel.values @ est.factors / 100
         return dgp, est, lam_bar
 

@@ -5,7 +5,7 @@ import pytest
 
 from ufm.errors import DegenerateRegressorsError
 from ufm.panel import PanelMatrix, make_quantile_grid
-from ufm.ranksel import estimate_r
+from ufm.ranksel import estimate_r, pel_profile, warm_start_from_profile
 from ufm.simlab import (
     ExperimentSpec,
     adjusted_r2,
@@ -87,10 +87,16 @@ class TestBaselines:
 
     def test_qfa_ini_ufa_needs_grid_level(self):
         dgp = gen_dgp(16, 16, 3)
+        warm = warm_start_from_profile(pel_profile(dgp.panel, GRID), 1)
         with pytest.raises(ValueError):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                qfa_fit(dgp.panel, 0.123, 1, init="ini_UFA")
+                qfa_fit(dgp.panel, 0.123, 1, init="ini_UFA", warm=warm, warm_grid=GRID)
+
+    def test_qfa_ini_ufa_needs_warm_start(self):
+        dgp = gen_dgp(16, 16, 3)
+        with pytest.raises(ValueError):
+            qfa_fit(dgp.panel, 0.5, 1, init="ini_UFA")
 
 
 class TestAdjustedR2:

@@ -3,8 +3,10 @@ import pytest
 
 from conftest import gauss_legendre_check_loss
 from ufm.errors import RankTooLargeError
+from ufm.idw import fit_panel
 from ufm.kernels import gaussian_kernel
 from ufm.panel import EstimatorConfig, PanelMatrix, make_quantile_grid
+from ufm.ranksel import pel_profile, warm_start_from_profile
 from ufm.ufa import _factor_step, _loading_step, normalize, ufa_fit
 
 GRID = make_quantile_grid(9, 0.04)
@@ -55,7 +57,7 @@ class TestUfaFit:
     def test_noiseless_rank_one_recovery(self, rng):
         panel, lam, f = _noiseless_panel(rng)
         config = EstimatorConfig(rank=1, bandwidth_h=1e-6)
-        est = ufa_fit(panel, GRID, config)
+        est = fit_panel(panel, GRID, config, weighted=False).estimate
         common = est.common_components()
         assert np.abs(common - panel.values[None]).max() <= 1e-4
         est.check_invariants()
@@ -65,28 +67,25 @@ class TestUfaFit:
         noisy = PanelMatrix.from_values(
             panel.values + 0.3 * np.random.default_rng(5).normal(size=(10, 11)))
         config = EstimatorConfig(rank=1)
-        a = ufa_fit(noisy, GRID, config)
-        b = ufa_fit(noisy, GRID, config)
+        warm = warm_start_from_profile(pel_profile(noisy, GRID), 1, config.resolved_for(noisy))
+        a = ufa_fit(noisy, GRID, config, warm)
+        b = ufa_fit(noisy, GRID, config, warm)
         assert np.abs(a.factors - b.factors).max() <= 1e-12
         assert np.abs(a.loadings - b.loadings).max() <= 1e-12
 
     def test_rank_too_large(self, rng):
         panel, *_ = _noiseless_panel(rng, 8, 8)
         with pytest.raises(RankTooLargeError):
-            ufa_fit(panel, GRID, EstimatorConfig(rank=4))
-
-    def test_rejects_auto_rank_without_init(self, rng):
-        panel, *_ = _noiseless_panel(rng)
-        with pytest.raises(ValueError):
-            ufa_fit(panel, GRID, EstimatorConfig(rank="auto"))
+            fit_panel(panel, GRID, EstimatorConfig(rank=4), weighted=False)
 
     def test_unit_weights_match_unweighted(self, rng):
         panel, *_ = _noiseless_panel(rng, 10, 11)
         noisy = PanelMatrix.from_values(
             panel.values + 0.2 * np.random.default_rng(6).normal(size=(10, 11)))
         config = EstimatorConfig(rank=1)
-        plain = ufa_fit(noisy, GRID, config)
-        ones = ufa_fit(noisy, GRID, config, weights=np.ones((9, 10, 11)))
+        warm = warm_start_from_profile(pel_profile(noisy, GRID), 1, config.resolved_for(noisy))
+        plain = ufa_fit(noisy, GRID, config, warm)
+        ones = ufa_fit(noisy, GRID, config, warm, weights=np.ones((9, 10, 11)))
         assert np.array_equal(plain.factors, ones.factors)
         assert np.array_equal(plain.loadings, ones.loadings)
 
