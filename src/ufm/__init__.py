@@ -80,7 +80,6 @@ from .simlab import (
     qfa_fit,
     rotation_scalar,
 )
-from .sqr import SqrObservation, solve_sqr
 from .ufa import normalize, ufa_fit
 
 __version__ = "0.1.0"

@@ -48,6 +48,11 @@ _DEFAULTS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no prefix matching: an option a subcommand lacks must not resolve to
+        # another one (``simulate --h`` would otherwise mean ``--help``)
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -69,25 +74,31 @@ def _build_parser() -> tuple[_Parser, dict]:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, input_required=True):
-        p.add_argument("--input", required=input_required, help="panel CSV path")
-        p.add_argument("--layout", choices=["wide", "long"])
-        p.add_argument("--M", dest="m", type=int)
-        p.add_argument("--rank", help="positive integer or 'auto'")
-        p.add_argument("--h", type=float, help="smoothing bandwidth")
-        p.add_argument("--hd", type=float, help="stencil shift h_d")
-        p.add_argument("--kernel-order", dest="kernel_order", type=int, choices=[2, 14])
-        p.add_argument("--C", dest="c", type=float, help="nuclear-norm penalty constant")
-        p.add_argument("--Cr", dest="cr", type=float, help="rank threshold")
+    def output(p):
         p.add_argument("--out-dir", dest="out_dir")
         p.add_argument("--config", help="flat key=value option file")
+
+    def common(p, fits=True):
+        """Panel, grid and PEL options; ``fits`` adds those of the factor fit."""
+        p.add_argument("--input", required=True, help="panel CSV path")
+        p.add_argument("--layout", choices=["wide", "long"])
+        p.add_argument("--M", dest="m", type=int)
+        p.add_argument("--hd", type=float, help="stencil shift h_d")
+        p.add_argument("--C", dest="c", type=float, help="nuclear-norm penalty constant")
+        p.add_argument("--Cr", dest="cr", type=float, help="rank threshold")
+        if fits:
+            p.add_argument("--rank", help="positive integer or 'auto'")
+            p.add_argument("--h", type=float, help="smoothing bandwidth")
+            p.add_argument("--kernel-order", dest="kernel_order", type=int,
+                           choices=[2, 14])
+        output(p)
 
     p_est = sub.add_parser("estimate", help="fit factors and loadings")
     p_est.add_argument("--method", choices=["ufa", "idw-ufa"])
     common(p_est)
 
     p_rank = sub.add_parser("rank", help="estimate the number of factors")
-    common(p_rank)
+    common(p_rank, fits=False)
 
     p_sel = sub.add_parser("select", help="count factors of tolerated strength")
     p_sel.add_argument("--alpha", type=float)
@@ -107,7 +118,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p_sim.add_argument("--reps", type=int)
     p_sim.add_argument("--threads", type=int)
     p_sim.add_argument("--seed", type=int)
-    common(p_sim, input_required=False)
+    output(p_sim)
 
     return parser, sub.choices
 

@@ -57,14 +57,6 @@ class NoConvergeWarning(UfmWarning):
     """An iterative fit hit its iteration cap before reaching tolerance."""
 
 
-class MaxItersWarning(UfmWarning):
-    """An inner solve stopped at the iteration cap; best iterate returned."""
-
-
-class ActiveBoxWarning(UfmWarning):
-    """The parameter box constraint is active at a solution."""
-
-
 class NearDegenerateEigsWarning(UfmWarning):
     """Consecutive eigenvalues nearly tie; eigenvector order/sign ambiguous."""
 

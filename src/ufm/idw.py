@@ -35,8 +35,7 @@ from .ranksel import (
     rank_from_profile,
     warm_start_from_profile,
 )
-from .sqr import solve_sqr_batch
-from .ufa import ufa_fit
+from .ufa import _loading_step, check_rank, ufa_fit
 
 _CLIP_LO_FACTOR = 0.05
 _CLIP_HI_FACTOR = 20.0
@@ -120,10 +119,11 @@ def _sub_panel(panel: PanelMatrix, rows: np.ndarray, cols: np.ndarray) -> PanelM
 
 
 def _half_factors(panel: PanelMatrix, grid: QuantileGrid, config: EstimatorConfig,
-                  rows: np.ndarray) -> np.ndarray:
+                  rows: np.ndarray, penalty_const: float = 0.2) -> np.ndarray:
     """Full-length factors estimated from one horizontal half of the panel."""
     half = _sub_panel(panel, rows, np.arange(panel.n_cols))
-    est = fit_panel(half, grid, config, weighted=False).estimate
+    est = fit_panel(half, grid, config, penalty_const=penalty_const,
+                    weighted=False).estimate
     eigs = est.eigenvalues
     if eigs[-1] <= 0 or eigs[-1] < 1e-10 * max(eigs[0], 1e-300):
         raise SubsampleRankDeficientError(
@@ -141,19 +141,13 @@ def _loading_table(panel: PanelMatrix, config: EstimatorConfig, factors: np.ndar
     config = config.resolved_for(block)
     y = block.values
     f_sub = factors[cols]
-    n_rows = y.shape[0]
-    s_count = levels.size
     # row-wise least squares as a cheap, level-independent start
-    gram = f_sub.T @ f_sub
-    lam0 = np.linalg.solve(gram, f_sub.T @ y.T).T
-    init = np.tile(lam0, (s_count, 1))
-    kernel = gaussian_kernel(config.kernel_order)
-    res = solve_sqr_batch(
-        np.tile(y, (s_count, 1)), f_sub, np.repeat(levels, n_rows)[:, None],
-        np.asarray(1.0), kernel, config.bandwidth_h,
-        (-config.box_bound, config.box_bound), init,
-        config.inner_tol, config.max_inner_iters)
-    return res.theta.reshape(s_count, n_rows, -1)
+    lam0 = np.linalg.solve(f_sub.T @ f_sub, f_sub.T @ y.T).T
+    res = _loading_step(y, f_sub, levels, np.asarray(1.0),
+                        gaussian_kernel(config.kernel_order), config.bandwidth_h,
+                        (-config.box_bound, config.box_bound),
+                        np.tile(lam0, (levels.size, 1)))
+    return res.theta.reshape(levels.size, y.shape[0], -1)
 
 
 def quadrant_crossfit(panel: PanelMatrix, grid: QuantileGrid, config: EstimatorConfig,
@@ -173,15 +167,18 @@ def quadrant_crossfit(panel: PanelMatrix, grid: QuantileGrid, config: EstimatorC
 
 
 def crossfit_estimates(panel: PanelMatrix, grid: QuantileGrid,
-                       config: EstimatorConfig, split: SplitIndex
+                       config: EstimatorConfig, split: SplitIndex,
+                       penalty_const: float = 0.2
                        ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     """Every quadrant's :func:`quadrant_crossfit` result, keyed by (a, b).
 
     h is taken from the full panel's dimensions; an unset box is resolved
-    by each fit from the sub-panel it reads.
+    by each fit from the sub-panel it reads. The half-panel fits profile
+    their PEL warm starts at ``penalty_const``.
     """
     config = config.with_bandwidth_for(panel)
-    halves = {c: _half_factors(panel, grid, config, split.rows(c)) for c in (1, 2)}
+    halves = {c: _half_factors(panel, grid, config, split.rows(c), penalty_const)
+              for c in (1, 2)}
     return {(a, b): quadrant_crossfit(panel, grid, config, split, halves, a, b)
             for a in (1, 2) for b in (1, 2)}
 
@@ -271,12 +268,17 @@ def fit_panel(
 
     The PEL profile at ``penalty_const`` gives the rank report (``threshold``
     defaults to :func:`~ufm.ranksel.default_rank_threshold`) and the warm
-    start. ``config.rank == "auto"`` fits the estimated rank and raises
-    :class:`UfmError` when it is 0. With ``weighted``, inverse densities are
-    cross-fitted and the full panel is refitted with them, starting from the
-    first stage. An unset ``box_bound`` is resolved from the full panel for
-    the full-panel fits and from each sub-panel in the cross-fit.
+    start; the cross-fit's half-panel fits use the same ``penalty_const``.
+    ``config.rank == "auto"`` fits the estimated rank and raises
+    :class:`UfmError` when it is 0; a fixed rank too large for the panel
+    raises :class:`~ufm.errors.RankTooLargeError` before any fitting. With
+    ``weighted``, inverse densities are cross-fitted and the full panel is
+    refitted with them, starting from the first stage. An unset
+    ``box_bound`` is resolved from the full panel for the full-panel fits
+    and from each sub-panel in the cross-fit.
     """
+    if config.rank != "auto":
+        check_rank(config.rank, panel)
     profile = pel_profile(panel, grid, penalty_const)
     report = rank_from_profile(profile, threshold)
     rank = report.r_hat if config.rank == "auto" else config.rank
@@ -288,7 +290,7 @@ def fit_panel(
     if not weighted:
         return PanelFit(profile, report, first, first, None)
     split = split_panel(panel)
-    weights = inverse_density_weights(crossfit_estimates(panel, grid, config, split),
-                                      grid, split)
+    weights = inverse_density_weights(
+        crossfit_estimates(panel, grid, config, split, penalty_const), grid, split)
     est = ufa_fit(panel, grid, config, init=first, weights=weights.w)
     return PanelFit(profile, report, first, est, weights)

@@ -194,9 +194,6 @@ class EstimatorConfig:
     kernel_order: int = 14
     box_bound: float | None = None
     max_outer_iters: int = 500
-    outer_tol: float = 1e-4
-    inner_tol: float = 1e-7
-    max_inner_iters: int = 200
 
     def __post_init__(self):
         if isinstance(self.rank, str):
@@ -208,11 +205,8 @@ class EstimatorConfig:
             raise ValueError("kernel order must be a positive even integer")
         if self.bandwidth_h is not None and not (0.0 < self.bandwidth_h < 1.0):
             raise ValueError("bandwidth_h must lie in (0, 1)")
-        for name in ("outer_tol", "inner_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be at least 1")
 
     def resolved_for(self, panel: PanelMatrix) -> "EstimatorConfig":
         """Fill data-dependent defaults from the panel dimensions and scale."""

@@ -28,6 +28,8 @@ from .kernels import gaussian_kernel
 from .panel import EstimatorConfig, FactorEstimate, PanelMatrix, QuantileGrid
 from .sqr import solve_sqr_batch
 
+_OUTER_TOL = 1e-4    # max change of the fitted surfaces that ends the sweeps
+
 
 def _fix_column_signs(f: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so each column sum is nonnegative."""
@@ -71,21 +73,29 @@ def normalize(loadings, factors) -> FactorEstimate:
     return FactorEstimate(factors=f_new, loadings=lam_new, eigenvalues=top)
 
 
-def _factor_step(y, lam, levels, w_fac, kernel, h, box, init, tol, iters):
+def check_rank(rank: int, panel: PanelMatrix) -> None:
+    """Reject a rank of min(N, T)/2 or more, naming the rank asked for."""
+    n, t = panel.n_rows, panel.n_cols
+    if rank >= min(n, t) / 2:
+        raise RankTooLargeError(f"rank {rank} too large for a {n}x{t} panel")
+
+
+def _factor_step(y, lam, levels, w_fac, kernel, h, box, init):
     n_rows = y.shape[0]
     m_count = levels.size
     x = lam.reshape(m_count * n_rows, -1)
     taus = np.repeat(levels, n_rows)
     return solve_sqr_batch(np.tile(y.T, (1, m_count)), x, taus, w_fac,
-                           kernel, h, box, init, tol, iters)
+                           kernel, h, box, init)
 
 
-def _loading_step(y, f, levels, w_load, kernel, h, box, init, tol, iters):
+def _loading_step(y, f, levels, w_load, kernel, h, box, init):
+    """One solve per (level, row) of ``y`` on the design ``f``, levels outermost."""
     n_rows = y.shape[0]
     m_count = levels.size
     taus = np.repeat(levels, n_rows)[:, None]
     return solve_sqr_batch(np.tile(y, (m_count, 1)), f, taus, w_load,
-                           kernel, h, box, init, tol, iters)
+                           kernel, h, box, init)
 
 
 def ufa_fit(
@@ -106,8 +116,7 @@ def ufa_fit(
     n, t = panel.n_rows, panel.n_cols
     m_count = grid.m_count
     r = init.rank
-    if r >= min(n, t) / 2:
-        raise RankTooLargeError(f"rank {r} too large for a {n}x{t} panel")
+    check_rank(r, panel)
     if init.m_count != m_count or init.loadings.shape[1] != n or init.factors.shape[0] != t:
         raise ValueError("init shape does not match panel/grid")
     if weights is not None:
@@ -130,17 +139,15 @@ def ufa_fit(
     converged = False
     sweep = 0
     for sweep in range(1, config.max_outer_iters + 1):
-        fac = _factor_step(y, lam, grid.levels, w_fac, kernel, h, box, f,
-                           config.inner_tol, config.max_inner_iters)
+        fac = _factor_step(y, lam, grid.levels, w_fac, kernel, h, box, f)
         f = fac.theta
         load = _loading_step(y, f, grid.levels, w_load, kernel, h, box,
-                             lam.reshape(m_count * n, r),
-                             config.inner_tol, config.max_inner_iters)
+                             lam.reshape(m_count * n, r))
         lam = load.theta.reshape(m_count, n, r)
         new_common = np.einsum("mnr,tr->mnt", lam, f)
         change = np.abs(new_common - common).max()
         common = new_common
-        if change < config.outer_tol:
+        if change < _OUTER_TOL:
             converged = True
             break
     if not converged:

@@ -31,7 +31,7 @@ from ufm.simlab import (
     qfa_fit,
     rotation_scalar,
 )
-from ufm.sqr import SqrObservation, solve_sqr
+from ufm.sqr import solve_sqr_batch
 
 SEED = 112358
 # Fixed-truth seed chosen so the probed middle cell is informative: the
@@ -170,10 +170,8 @@ def test_criterion_2_solver_oracle():
         w = rng.uniform(0.5, 2.0, size=n)
         tau = rng.uniform(0.2, 0.8)
         h = rng.uniform(0.35, 0.6)
-        obs = [SqrObservation(y[i], x[i], tau, w[i]) for i in range(n)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            theta = solve_sqr(obs, kern, h, (-2.0, 2.0), np.zeros(r))
+        theta = solve_sqr_batch(y[None, :], x, np.full((1, 1), tau), w[None, :], kern, h,
+                                (-2.0, 2.0), np.zeros((1, r))).theta[0]
         ref = _oracle_argmin(kern.poly_coeffs, h, tau, y, x, w, (-2.0, 2.0))
         worst_gap = max(worst_gap, float(np.abs(theta - ref).max()))
         # analytic gradient of the weighted objective vs finite differences

@@ -228,6 +228,39 @@ class TestConfigAndErrors:
             & set(manifest["config"])
         assert {"r_hat", "threshold"} <= set(manifest)
         assert manifest["seed"] is None
+        assert set(manifest["config"]) == {"command", "input", "layout", "m", "hd", "c",
+                                           "cr", "out_dir"}
+        sim_out = tmp_path / "sim"
+        assert run_cli(["simulate", "--table", "1", "--sizes", "16", "--reps", "1",
+                        "--out-dir", str(sim_out)]) == 0
+        manifest = json.loads((sim_out / "manifest.json").read_text())
+        assert set(manifest["config"]) == {"command", "table", "sizes", "reps", "threads",
+                                           "seed", "out_dir"}
+
+    @pytest.mark.parametrize("command,option,value", [
+        *(("simulate", o, v) for o, v in (
+            ("--input", "panel.csv"), ("--layout", "wide"), ("--M", "5"),
+            ("--rank", "3"), ("--h", "0.5"), ("--hd", "0.04"), ("--kernel-order", "2"),
+            ("--C", "9"), ("--Cr", "0.1"))),
+        *(("rank", o, v) for o, v in (("--rank", "3"), ("--h", "0.5"),
+                                      ("--kernel-order", "2")))])
+    def test_options_a_subcommand_does_not_read_are_rejected(self, panel_csv, tmp_path,
+                                                            command, option, value):
+        path, _ = panel_csv
+        argv = ([command, "--table", "1", "--sizes", "16", "--reps", "1"]
+                if command == "simulate" else [command, "--input", str(path)])
+        code = run_cli([*argv, option, value, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_fixed_rank_too_large_is_named(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        out = tmp_path / "out"
+        code = run_cli(["estimate", "--rank", "50", "--M", "3", "--input", str(path),
+                        "--out-dir", str(out)])
+        assert code == 1
+        assert "rank 50 too large" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_usage_error_exit_code(self):
         assert run_cli(["estimate"]) == 1            # missing --input

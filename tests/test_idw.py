@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import ufm.idw as idw
+import ufm.ranksel as ranksel
 from conftest import FitOnRead, TracingPanel
-from ufm.errors import ClippedFractionWarning, UfmError
+from ufm.errors import ClippedFractionWarning, RankTooLargeError, UfmError
 from ufm.idw import (
     WeightTensor,
     _half_factors,
@@ -22,6 +24,7 @@ from ufm.idw import (
 from ufm.panel import EstimatorConfig, PanelMatrix, make_quantile_grid
 from ufm.ranksel import (
     default_rank_threshold,
+    pel_fit,
     pel_profile,
     rank_from_profile,
     warm_start_from_profile,
@@ -308,6 +311,31 @@ class TestFitPanel:
                             weighted=False)
         assert fit.report.r_hat == 0
         assert fit.estimate.rank == 1
+
+    def test_penalty_reaches_every_profile(self, monkeypatch):
+        seen = []
+
+        def recording_pel_fit(panel, tau, penalty_const, *args, **kwargs):
+            seen.append((panel.n_rows, penalty_const))
+            return pel_fit(panel, tau, penalty_const, *args, **kwargs)
+
+        monkeypatch.setattr(ranksel, "pel_fit", recording_pel_fit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit_panel(gen_dgp(16, 16, [5]).panel, make_quantile_grid(3, 0.04),
+                      EstimatorConfig(rank=1), penalty_const=0.5)
+        # the full panel and both 8-row halves, each at every level
+        assert sorted({n for n, _ in seen}) == [8, 16]
+        assert len(seen) == 9
+        assert {c for _, c in seen} == {0.5}
+
+    def test_fixed_rank_too_large_is_named_before_profiling(self, monkeypatch):
+        def no_profile(*args, **kwargs):
+            raise AssertionError("the PEL profile started")
+
+        monkeypatch.setattr(idw, "pel_profile", no_profile)
+        with pytest.raises(RankTooLargeError, match="rank 50 too large for a 16x16 panel"):
+            fit_panel(gen_dgp(16, 16, [5]).panel, GRID, EstimatorConfig(rank=50))
 
 
 class TestIndependenceStructure:

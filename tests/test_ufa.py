@@ -113,10 +113,10 @@ class TestObjectiveMonotonicity:
         values = [quad_objective(lam, f)]
         for _ in range(4):
             f = _factor_step(y, lam, grid.levels, np.asarray(1.0), kernel, h, box,
-                             f, 1e-7, 200).theta
+                             f).theta
             values.append(quad_objective(lam, f))
             lam = _loading_step(y, f, grid.levels, np.asarray(1.0), kernel, h, box,
-                                lam.reshape(3 * n, 1), 1e-7, 200).theta.reshape(3, n, 1)
+                                lam.reshape(3 * n, 1)).theta.reshape(3, n, 1)
             values.append(quad_objective(lam, f))
         diffs = np.diff(values)
         assert (diffs <= 1e-4).all()
