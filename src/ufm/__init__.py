@@ -7,6 +7,8 @@ for asymptotically normal inference, and pick the number of factors by
 thresholding nuclear-norm penalized fits.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ClippedFractionWarning,
     DegenerateRegressorsError,
@@ -84,4 +86,6 @@ from .ufa import normalize, ufa_fit
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules bound as a side effect are not API
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

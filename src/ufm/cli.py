@@ -22,18 +22,28 @@ from .errors import UfmError, UfmWarning
 from .idw import fit_panel
 from .inference import mean_loadings, plugin_covariances, standard_errors
 from .output import atomic_write_text, write_csv, write_json, write_matrix
-from .panel import EstimatorConfig, load_panel, make_quantile_grid
-from .ranksel import estimate_r, select_factors
+from .panel import (
+    DEFAULT_M,
+    DEFAULT_SHIFT,
+    EstimatorConfig,
+    load_panel,
+    make_quantile_grid,
+)
+from .ranksel import DEFAULT_PENALTY, estimate_r, select_factors
 from .simlab import ExperimentSpec, monte_carlo_run
+
+# The strength selectors' constant C in ``select``. It is not ``--C``, which
+# is the PEL penalty; the library's ``select_factors`` defaults to 1.0.
+_SELECT_CONSTANT = 0.2
 
 _DEFAULTS = {
     "layout": "wide",
-    "m": 9,
+    "m": DEFAULT_M,
     "rank": "auto",
     "h": None,
-    "hd": 0.04,
-    "kernel_order": 14,
-    "c": 0.2,
+    "hd": DEFAULT_SHIFT,
+    "kernel_order": EstimatorConfig.kernel_order,
+    "c": DEFAULT_PENALTY,
     "cr": None,
     "alpha": 1.0,
     "tau": None,
@@ -263,10 +273,10 @@ def _cmd_select(opts, out_dir):
     mean = mean_loadings(panel, est)
     if opts["tau"] is None:
         rep = select_factors(est, grid, mean.lam_bar, target="mean",
-                             alpha=opts["alpha"], constant=opts["c"])
+                             alpha=opts["alpha"], constant=_SELECT_CONSTANT)
     else:
         rep = select_factors(est, grid, target=opts["tau"], alpha=opts["alpha"],
-                             constant=opts["c"])
+                             constant=_SELECT_CONSTANT)
     print(f"target {rep.target}: selected {rep.selected} of {est.rank} "
           f"(threshold {rep.threshold:.6g})")
     write_csv(out_dir / "strength_report.csv",

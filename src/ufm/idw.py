@@ -29,13 +29,14 @@ from .errors import ClippedFractionWarning, SubsampleRankDeficientError, UfmErro
 from .kernels import gaussian_kernel
 from .panel import EstimatorConfig, FactorEstimate, PanelMatrix, QuantileGrid
 from .ranksel import (
+    DEFAULT_PENALTY,
     PelProfile,
     RankReport,
     pel_profile,
     rank_from_profile,
     warm_start_from_profile,
 )
-from .ufa import _loading_step, check_rank, ufa_fit
+from .ufa import _loading_step, check_rank, parameter_box, ufa_fit
 
 _CLIP_LO_FACTOR = 0.05
 _CLIP_HI_FACTOR = 20.0
@@ -119,7 +120,7 @@ def _sub_panel(panel: PanelMatrix, rows: np.ndarray, cols: np.ndarray) -> PanelM
 
 
 def _half_factors(panel: PanelMatrix, grid: QuantileGrid, config: EstimatorConfig,
-                  rows: np.ndarray, penalty_const: float = 0.2) -> np.ndarray:
+                  rows: np.ndarray, penalty_const: float = DEFAULT_PENALTY) -> np.ndarray:
     """Full-length factors estimated from one horizontal half of the panel."""
     half = _sub_panel(panel, rows, np.arange(panel.n_cols))
     est = fit_panel(half, grid, config, penalty_const=penalty_const,
@@ -135,17 +136,17 @@ def _loading_table(panel: PanelMatrix, config: EstimatorConfig, factors: np.ndar
                    rows: np.ndarray, cols: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Per-row smoothed QR of Y[rows, cols] on factors[cols] at each level.
 
-    An unset box is resolved from that block, the only cells the fit reads.
+    The box, and h when unset, are resolved from that block, the only cells
+    the fit reads.
     """
     block = _sub_panel(panel, rows, cols)
-    config = config.resolved_for(block)
     y = block.values
     f_sub = factors[cols]
     # row-wise least squares as a cheap, level-independent start
     lam0 = np.linalg.solve(f_sub.T @ f_sub, f_sub.T @ y.T).T
     res = _loading_step(y, f_sub, levels, np.asarray(1.0),
-                        gaussian_kernel(config.kernel_order), config.bandwidth_h,
-                        (-config.box_bound, config.box_bound),
+                        gaussian_kernel(config.kernel_order),
+                        config.with_bandwidth_for(block).bandwidth_h, parameter_box(y),
                         np.tile(lam0, (levels.size, 1)))
     return res.theta.reshape(levels.size, y.shape[0], -1)
 
@@ -168,12 +169,12 @@ def quadrant_crossfit(panel: PanelMatrix, grid: QuantileGrid, config: EstimatorC
 
 def crossfit_estimates(panel: PanelMatrix, grid: QuantileGrid,
                        config: EstimatorConfig, split: SplitIndex,
-                       penalty_const: float = 0.2
+                       penalty_const: float = DEFAULT_PENALTY
                        ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     """Every quadrant's :func:`quadrant_crossfit` result, keyed by (a, b).
 
-    h is taken from the full panel's dimensions; an unset box is resolved
-    by each fit from the sub-panel it reads. The half-panel fits profile
+    h is taken from the full panel's dimensions; each fit takes its
+    parameter box from the sub-panel it reads. The half-panel fits profile
     their PEL warm starts at ``penalty_const``.
     """
     config = config.with_bandwidth_for(panel)
@@ -260,7 +261,7 @@ def fit_panel(
     grid: QuantileGrid,
     config: EstimatorConfig,
     *,
-    penalty_const: float = 0.2,
+    penalty_const: float = DEFAULT_PENALTY,
     threshold: float | None = None,
     weighted: bool = True,
 ) -> PanelFit:
@@ -273,9 +274,10 @@ def fit_panel(
     :class:`UfmError` when it is 0; a fixed rank too large for the panel
     raises :class:`~ufm.errors.RankTooLargeError` before any fitting. With
     ``weighted``, inverse densities are cross-fitted and the full panel is
-    refitted with them, starting from the first stage. An unset
-    ``box_bound`` is resolved from the full panel for the full-panel fits
-    and from each sub-panel in the cross-fit.
+    refitted with them, starting from the first stage. Every fit keeps its
+    parameters in a box derived from the cells it reads
+    (:func:`~ufm.ufa.parameter_box`): the full panel for the full-panel
+    fits, and each sub-panel in the cross-fit.
     """
     if config.rank != "auto":
         check_rank(config.rank, panel)
@@ -285,7 +287,7 @@ def fit_panel(
     if rank < 1:
         raise UfmError("estimated rank is 0; nothing to fit")
     config = config.with_rank(rank)
-    warm = warm_start_from_profile(profile, rank, config.resolved_for(panel))
+    warm = warm_start_from_profile(profile, rank)
     first = ufa_fit(panel, grid, config, init=warm)
     if not weighted:
         return PanelFit(profile, report, first, first, None)

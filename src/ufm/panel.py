@@ -83,13 +83,14 @@ class PanelMatrix:
 class QuantileGrid:
     """The quantile levels used for estimation plus the stencil shift h_d.
 
-    ``modes[m]`` records which difference stencil applies at ``levels[m]``:
-    levels within ``2*shift`` of 0 or 1 switch to the one-sided variants.
+    ``modes[m]``, derived from the level and the shift, records which
+    difference stencil applies at ``levels[m]``: levels within ``2*shift``
+    of 0 or 1 switch to the one-sided variants.
     """
 
     levels: np.ndarray
     shift: float
-    modes: tuple[str, ...] = field(default=())
+    modes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=float)
@@ -101,9 +102,7 @@ class QuantileGrid:
             raise ValueError("quantile levels must be strictly increasing")
         if not (self.shift > 0.0):
             raise ValueError("shift h_d must be positive")
-        modes = self.modes or tuple(_stencil_mode(t, self.shift) for t in levels)
-        if len(modes) != levels.size:
-            raise ValueError("one stencil mode per level required")
+        modes = tuple(_stencil_mode(t, self.shift) for t in levels)
         for tau, mode in zip(levels, modes):
             for s in _stencil_offsets(mode):
                 shifted = tau + s * self.shift
@@ -113,7 +112,7 @@ class QuantileGrid:
                         "reduce h_d or M"
                     )
         object.__setattr__(self, "levels", _freeze(levels))
-        object.__setattr__(self, "modes", tuple(modes))
+        object.__setattr__(self, "modes", modes)
 
     @property
     def m_count(self) -> int:
@@ -155,6 +154,11 @@ def _stencil_offsets(mode: str) -> np.ndarray:
     raise ValueError(f"unknown stencil mode {mode!r}")
 
 
+# The paper's grid, which the command line and the simulation tables run on.
+DEFAULT_M = 9
+DEFAULT_SHIFT = 0.04
+
+
 def make_quantile_grid(m_count: int, h_d: float) -> QuantileGrid:
     """Equally spaced levels m/(M+1) for m = 1..M with stencil shift h_d.
 
@@ -184,16 +188,15 @@ def single_level_grid(tau: float, h_d: float) -> QuantileGrid:
 class EstimatorConfig:
     """Tuning constants for the alternating quantile-regression fits.
 
-    ``bandwidth_h`` and ``box_bound`` may be left as None and resolved
-    against a panel: h defaults to min(N,T)^(-1/13) and the parameter box
-    to a data-scaled interval wide enough that projection stays inactive.
+    ``bandwidth_h`` may be left as None and resolved against a panel's
+    dimensions: h defaults to min(N,T)^(-1/13). The parameter box is no
+    setting: each fit derives it from the cells it reads
+    (:func:`ufm.ufa.parameter_box`).
     """
 
     rank: int | str = "auto"
     bandwidth_h: float | None = None
     kernel_order: int = 14
-    box_bound: float | None = None
-    max_outer_iters: int = 500
 
     def __post_init__(self):
         if isinstance(self.rank, str):
@@ -205,17 +208,6 @@ class EstimatorConfig:
             raise ValueError("kernel order must be a positive even integer")
         if self.bandwidth_h is not None and not (0.0 < self.bandwidth_h < 1.0):
             raise ValueError("bandwidth_h must lie in (0, 1)")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
-
-    def resolved_for(self, panel: PanelMatrix) -> "EstimatorConfig":
-        """Fill data-dependent defaults from the panel dimensions and scale."""
-        box = self.box_bound
-        if box is None:
-            scale = float(np.abs(panel.values).max())
-            sd = float(panel.values.std())
-            box = 10.0 * max(scale, 1.0) / min(1.0, sd if sd > 0 else 1.0)
-        return dataclasses.replace(self.with_bandwidth_for(panel), box_bound=float(box))
 
     def with_bandwidth_for(self, panel: PanelMatrix) -> "EstimatorConfig":
         """Fill only h, from the panel's dimensions; no cell is read."""

@@ -25,9 +25,10 @@ import numpy as np
 
 from .errors import NoConvergeWarning
 from .kernels import gaussian_kernel, kernel_cdf, kernel_k, smoothed_value
-from .panel import EstimatorConfig, FactorEstimate, PanelMatrix, QuantileGrid
+from .panel import FactorEstimate, PanelMatrix, QuantileGrid
 from .ufa import _fix_column_signs
 
+DEFAULT_PENALTY = 0.2    # the nuclear-norm penalty constant C
 _PEL_KERNEL_ORDER = 2
 _PEL_TOL = 1e-5
 _PEL_MAX_ITERS = 500
@@ -105,10 +106,7 @@ def svt(z: np.ndarray, level: float) -> tuple[np.ndarray, float]:
 def pel_fit(
     panel: PanelMatrix,
     tau: float,
-    penalty_const: float = 0.2,
-    box: tuple[float, float] | None = None,
-    max_iters: int = _PEL_MAX_ITERS,
-    tol: float = _PEL_TOL,
+    penalty_const: float = DEFAULT_PENALTY,
     trace: list | None = None,
 ) -> np.ndarray:
     """Nuclear-norm penalized fit of the tau-th quantile surface.
@@ -117,11 +115,10 @@ def pel_fit(
     C sqrt(log NT) max(sqrt N, sqrt T)/(NT) times the nuclear norm, using a
     second-order kernel at bandwidth min(N,T)^(-1/5) so the smooth part has
     gradient (K((L-Y)/h) - tau)/(NT) and an explicit Lipschitz constant.
+    The fitted surface is clipped to [min Y - d, max Y + d], d = max Y - min Y.
     """
     y = panel.values
     n, t = y.shape
-    if box is None:
-        box = _pel_box(y)
     kernel = gaussian_kernel(_PEL_KERNEL_ORDER)
     h = min(n, t) ** (-1.0 / 5.0)
     psi = penalty_const * math.sqrt(math.log(n * t)) * math.sqrt(max(n, t)) / (n * t)
@@ -143,7 +140,7 @@ def pel_fit(
     l_prev = l_cur
     t_acc = 1.0
     converged = False
-    for _ in range(max_iters):
+    for _ in range(_PEL_MAX_ITERS):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
         z = l_cur + ((t_acc - 1.0) / t_next) * (l_cur - l_prev)
         cand, cand_nuc = svt(z - step * smooth_grad(z), svt_level)
@@ -157,13 +154,13 @@ def pel_fit(
         l_prev, l_cur, nuc_cur, obj_cur, t_acc = l_cur, cand, cand_nuc, cand_obj, t_next
         if trace is not None:
             trace.append(obj_cur)
-        if rel < tol:
+        if rel < _PEL_TOL:
             converged = True
             break
     if not converged:
         warnings.warn("penalized fit hit its iteration cap", NoConvergeWarning,
                       stacklevel=2)
-    return np.clip(l_cur, box[0], box[1])
+    return np.clip(l_cur, *_pel_box(y))
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,7 @@ class PelProfile:
 
 
 def pel_profile(panel: PanelMatrix, grid: QuantileGrid,
-                penalty_const: float = 0.2) -> PelProfile:
+                penalty_const: float = DEFAULT_PENALTY) -> PelProfile:
     surfaces = np.stack([pel_fit(panel, tau, penalty_const) for tau in grid.levels])
     m, n, t = surfaces.shape
     flat = surfaces.reshape(m * n, t)
@@ -200,29 +197,25 @@ def rank_from_profile(profile: PelProfile, threshold: float | None = None) -> Ra
                       threshold=float(threshold), penalty_const=profile.penalty_const)
 
 
-def estimate_r(panel: PanelMatrix, grid: QuantileGrid, penalty_const: float = 0.2,
+def estimate_r(panel: PanelMatrix, grid: QuantileGrid,
+               penalty_const: float = DEFAULT_PENALTY,
                threshold: float | None = None) -> RankReport:
     """Thresholded eigenvalue count of the pooled penalized surfaces."""
     return rank_from_profile(pel_profile(panel, grid, penalty_const), threshold)
 
 
-def warm_start_from_profile(profile: PelProfile, rank: int,
-                            config: EstimatorConfig | None = None) -> FactorEstimate:
+def warm_start_from_profile(profile: PelProfile, rank: int) -> FactorEstimate:
     """Initial factors and loadings from the penalized fits: sqrt(T) times the
     top ``rank`` pooled eigenvectors, with each surface's loadings on them.
 
-    A box set in ``config`` clips both. A one-level grid's profile gives the
-    single-quantile variant.
+    A one-level grid's profile gives the single-quantile variant. The fit
+    it starts clips it to that fit's parameter box.
     """
     if rank < 1:
         raise ValueError("warm start needs rank >= 1")
     t = profile.eigenvectors.shape[0]
     f = _fix_column_signs(math.sqrt(t) * profile.eigenvectors[:, :rank])
     lam = np.einsum("mnt,tr->mnr", profile.surfaces, f) / t
-    if config is not None and config.box_bound is not None:
-        b = config.box_bound
-        f = np.clip(f, -b, b)
-        lam = np.clip(lam, -b, b)
     return FactorEstimate(factors=f, loadings=lam,
                           eigenvalues=profile.eigenvalues[:rank])
 

@@ -28,6 +28,8 @@ from .idw import fit_panel
 from .inference import mean_loadings, plugin_covariances, standard_errors
 from .output import write_csv, write_json
 from .panel import (
+    DEFAULT_M,
+    DEFAULT_SHIFT,
     EstimatorConfig,
     FactorEstimate,
     PanelMatrix,
@@ -35,11 +37,10 @@ from .panel import (
     make_quantile_grid,
     single_level_grid,
 )
-from .ranksel import estimate_r, warm_start_from_profile
+from .ranksel import DEFAULT_PENALTY, estimate_r, warm_start_from_profile
 from .ufa import _fix_column_signs, ufa_fit
 
-DEFAULT_SHIFT = 0.04
-DEFAULT_M = 9
+_GRID = make_quantile_grid(DEFAULT_M, DEFAULT_SHIFT)
 _TABLE_IDS = {"table1": 1, "table2": 2, "table3": 3, "table4_fig1": 4}
 
 
@@ -63,10 +64,6 @@ class DgpDraw:
     u: np.ndarray                  # (N, T)
     normalized_factor: np.ndarray  # (T, 1)
     normalized_base: np.ndarray    # (N, 1)
-
-    def normalized_loadings(self, levels) -> np.ndarray:
-        levels = np.asarray(levels, dtype=float)
-        return beta_coefficient(levels)[:, None, None] * self.normalized_base[None]
 
     def true_common(self, tau: float) -> np.ndarray:
         """The tau-th conditional quantile surface, N x T."""
@@ -120,7 +117,6 @@ def qfa_fit(
     config: EstimatorConfig | None = None,
     warm: FactorEstimate | None = None,
     warm_grid: QuantileGrid | None = None,
-    shift: float = DEFAULT_SHIFT,
 ) -> FactorEstimate:
     """Single-level alternating fit, warm-started two ways.
 
@@ -129,7 +125,7 @@ def qfa_fit(
     passed as ``warm`` together with the grid it was built on, ``warm_grid``.
     """
     config = (config or EstimatorConfig(rank=r)).with_rank(r)
-    grid1 = single_level_grid(tau, shift)
+    grid1 = single_level_grid(tau, DEFAULT_SHIFT)
     if init == "ini_tau":
         return fit_panel(panel, grid1, config, weighted=False).estimate
     if init != "ini_UFA":
@@ -186,17 +182,10 @@ class ExperimentSpec:
     reps: int
     taus: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     estimators: tuple[str, ...] = ("ufa", "idw-ufa", "qfa-ini-ufa", "qfa-ini-tau", "pca")
-    m_count: int = DEFAULT_M
-    shift: float = DEFAULT_SHIFT
-    penalty_const: float = 0.2
 
     def __post_init__(self):
         if self.name not in _TABLE_IDS:
             raise ValueError(f"unknown experiment {self.name!r}")
-
-
-def _grid(spec: ExperimentSpec) -> QuantileGrid:
-    return make_quantile_grid(spec.m_count, spec.shift)
 
 
 def _rep_seed(seed: int, spec: ExperimentSpec, size: int, rep: int) -> list[int]:
@@ -205,13 +194,12 @@ def _rep_seed(seed: int, spec: ExperimentSpec, size: int, rep: int) -> list[int]
 
 def _table1_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> dict:
     dgp = gen_dgp(size, size, _rep_seed(seed, spec, size, rep))
-    report = estimate_r(dgp.panel, _grid(spec), spec.penalty_const)
+    report = estimate_r(dgp.panel, _GRID)
     return {"size": size, "rep": rep, "r_hat": report.r_hat}
 
 
 def _table2_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> list[dict]:
     dgp = gen_dgp(size, size, _rep_seed(seed, spec, size, rep))
-    grid = _grid(spec)
     config = EstimatorConfig(rank=1)
     rows = []
 
@@ -220,8 +208,7 @@ def _table2_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> list[di
                      "tau": tau, "adj_r2": adjusted_r2(dgp.true_factor, factors)})
 
     if {"ufa", "idw-ufa", "qfa-ini-ufa"} & set(spec.estimators):
-        fit = fit_panel(dgp.panel, grid, EstimatorConfig(rank="auto"),
-                        penalty_const=spec.penalty_const,
+        fit = fit_panel(dgp.panel, _GRID, EstimatorConfig(rank="auto"),
                         weighted="idw-ufa" in spec.estimators)
         if "ufa" in spec.estimators:
             emit("ufa", "", fit.ufa.factors)
@@ -230,15 +217,14 @@ def _table2_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> list[di
         if "qfa-ini-ufa" in spec.estimators:
             # the quantile-level baseline uses the true rank: the multi-level
             # warm start restricted to its leading column
-            warm = warm_start_from_profile(fit.profile, 1, config.resolved_for(dgp.panel))
+            warm = warm_start_from_profile(fit.profile, 1)
             for tau in spec.taus:
                 est = qfa_fit(dgp.panel, tau, 1, init="ini_UFA", config=config,
-                              warm=warm, warm_grid=grid, shift=spec.shift)
+                              warm=warm, warm_grid=_GRID)
                 emit("qfa-ini-ufa", tau, est.factors)
     if "qfa-ini-tau" in spec.estimators:
         for tau in spec.taus:
-            est = qfa_fit(dgp.panel, tau, 1, init="ini_tau", config=config,
-                          shift=spec.shift)
+            est = qfa_fit(dgp.panel, tau, 1, init="ini_tau", config=config)
             emit("qfa-ini-tau", tau, est.factors)
     if "pca" in spec.estimators:
         emit("pca", "", pca_fit(dgp.panel, 1))
@@ -247,9 +233,7 @@ def _table2_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> list[di
 
 def _table3_rep(spec: ExperimentSpec, seed: int, size: int, rep: int) -> dict:
     dgp = gen_dgp(size, size, _rep_seed(seed, spec, size, rep))
-    grid = _grid(spec)
-    est = fit_panel(dgp.panel, grid, EstimatorConfig(rank=1),
-                    penalty_const=spec.penalty_const).estimate
+    est = fit_panel(dgp.panel, _GRID, EstimatorConfig(rank=1)).estimate
     h_mat = rotation_scalar(est, dgp.normalized_factor)
     return {"size": size, "rep": rep, "h_abs_dev": float(np.abs(h_mat[0, 0] - 1.0))}
 
@@ -265,19 +249,17 @@ def _table4_rep(spec: ExperimentSpec, seed: int, size: int, rep: int,
     dgp = make_dgp(f0, base, u)
     if dgp.truth_digest() != digest:
         raise AssertionError("fixed-truth protocol violated: truth changed across reps")
-    grid = _grid(spec)
-    fit = fit_panel(dgp.panel, grid, EstimatorConfig(rank=1),
-                    penalty_const=spec.penalty_const)
+    fit = fit_panel(dgp.panel, _GRID, EstimatorConfig(rank=1))
     est = align_factor_signs(fit.estimate, dgp.normalized_factor)
     mean = mean_loadings(dgp.panel, est)
-    covs = plugin_covariances(dgp.panel, est, fit.weights, mean, grid)
+    covs = plugin_covariances(dgp.panel, est, fit.weights, mean, _GRID)
     i_star, t_star = size // 2 - 1, size // 2 - 1
     out = {"size": size, "rep": rep}
     ses = {tau: standard_errors(est, covs, tau) for tau in _T4_TAUS}
     se_f = ses[_T4_TAUS[0]].factor[t_star, 0]
     out["f_std"] = float((est.factors[t_star, 0] - dgp.normalized_factor[t_star, 0]) / se_f)
     for tau, se in ses.items():
-        m = grid.index(tau)
+        m = _GRID.index(tau)
         fitted = float(est.loadings[m, i_star] @ est.factors[t_star])
         true_val = float(dgp.true_common(tau)[i_star, t_star])
         out[f"L_std_{tau}"] = float((fitted - true_val) / se.common[i_star, t_star])
@@ -342,9 +324,9 @@ def monte_carlo_run(spec: ExperimentSpec, seed: int, out_dir=None,
                 "seed": seed,
                 "taus": list(spec.taus),
                 "estimators": list(spec.estimators),
-                "m_count": spec.m_count,
-                "shift": spec.shift,
-                "penalty_const": spec.penalty_const,
+                "m_count": DEFAULT_M,
+                "shift": DEFAULT_SHIFT,
+                "penalty_const": DEFAULT_PENALTY,
                 "runtime_seconds": time.time() - t_start,
             })
     return result

@@ -29,6 +29,7 @@ from .panel import EstimatorConfig, FactorEstimate, PanelMatrix, QuantileGrid
 from .sqr import solve_sqr_batch
 
 _OUTER_TOL = 1e-4    # max change of the fitted surfaces that ends the sweeps
+_MAX_SWEEPS = 500
 
 
 def _fix_column_signs(f: np.ndarray) -> np.ndarray:
@@ -80,6 +81,19 @@ def check_rank(rank: int, panel: PanelMatrix) -> None:
         raise RankTooLargeError(f"rank {rank} too large for a {n}x{t} panel")
 
 
+def parameter_box(values: np.ndarray) -> tuple[float, float]:
+    """The box (-b, b) that every parameter of a fit reading ``values`` is
+    kept in: b = 10 max(max|Y|, 1) / min(1, sd(Y)), with sd 0 read as 1.
+
+    Each fit resolves it from its own cells, so a cross-fit on a sub-panel
+    never reads the cells it leaves out.
+    """
+    scale = float(np.abs(values).max())
+    sd = float(values.std())
+    b = 10.0 * max(scale, 1.0) / min(1.0, sd if sd > 0 else 1.0)
+    return -b, b
+
+
 def _factor_step(y, lam, levels, w_fac, kernel, h, box, init):
     n_rows = y.shape[0]
     m_count = levels.size
@@ -107,12 +121,12 @@ def ufa_fit(
 ) -> FactorEstimate:
     """Fit factors and per-level loadings by alternating smoothed solves.
 
-    ``init`` is the starting point, and its rank is the rank fitted.
-    ``weights``, when given, is an (M, N, T) tensor multiplying each
-    observation's loss term; passing estimated inverse densities here turns
-    this into the second stage of the weighted estimator.
+    ``init`` is the starting point, clipped to :func:`parameter_box` of the
+    panel, and its rank is the rank fitted. ``weights``, when given, is an
+    (M, N, T) tensor multiplying each observation's loss term; passing
+    estimated inverse densities here turns this into the second stage of
+    the weighted estimator.
     """
-    config = config.resolved_for(panel)
     n, t = panel.n_rows, panel.n_cols
     m_count = grid.m_count
     r = init.rank
@@ -129,16 +143,16 @@ def ufa_fit(
         w_fac = w_load = np.asarray(1.0)
 
     kernel = gaussian_kernel(config.kernel_order)
-    h = config.bandwidth_h
-    box = (-config.box_bound, config.box_bound)
+    h = config.with_bandwidth_for(panel).bandwidth_h
     y = panel.values
-    lam = np.array(init.loadings, dtype=float)
-    f = np.array(init.factors, dtype=float)
+    box = parameter_box(y)
+    lam = np.clip(init.loadings, *box)
+    f = np.clip(init.factors, *box)
     common = np.einsum("mnr,tr->mnt", lam, f)
 
     converged = False
     sweep = 0
-    for sweep in range(1, config.max_outer_iters + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         fac = _factor_step(y, lam, grid.levels, w_fac, kernel, h, box, f)
         f = fac.theta
         load = _loading_step(y, f, grid.levels, w_load, kernel, h, box,
@@ -152,7 +166,7 @@ def ufa_fit(
             break
     if not converged:
         warnings.warn(
-            f"alternating fit stopped at {config.max_outer_iters} sweeps "
+            f"alternating fit stopped at {_MAX_SWEEPS} sweeps "
             f"(last change {change:.3g})", NoConvergeWarning, stacklevel=2)
 
     est = normalize(lam, f)

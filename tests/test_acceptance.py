@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ufm.ufa as ufa
 from conftest import FitOnRead, TracingPanel, gauss_legendre_check_loss
 from ufm.cli import run_cli
 from ufm.idw import _half_factors, fit_panel, quadrant_crossfit, split_panel
@@ -55,7 +56,7 @@ def _report(num, ok, detail):
 
 def _battery_rep_50(rep: int) -> dict:
     dgp = gen_dgp(50, 50, [SEED, 5, 50, rep])
-    config = EstimatorConfig(rank="auto").resolved_for(dgp.panel)
+    config = EstimatorConfig(rank="auto")
     fit = fit_panel(dgp.panel, GRID, config)
     ufa_est, idw_est = fit.ufa, fit.estimate
     idw_r1 = idw_est if idw_est.rank == 1 else fit_panel(
@@ -313,11 +314,13 @@ def test_criterion_8_covariance_plugins():
 # criterion 9: weight computation never reads its own quadrant
 # --------------------------------------------------------------------------
 
-def test_criterion_9_independence_structure():
-    # the pipeline's own per-quadrant function; the box is left unset, so
-    # the box-bound reads of every fit go through the traced panel too
+def test_criterion_9_independence_structure(monkeypatch):
+    # the pipeline's own per-quadrant function; each fit's parameter box is
+    # derived from the cells it reads, so those reads go through the traced
+    # panel too
+    monkeypatch.setattr(ufa, "_MAX_SWEEPS", 5)
     dgp = gen_dgp(8, 8, [SEED, 9])
-    config = EstimatorConfig(rank=1, max_outer_iters=5).with_bandwidth_for(dgp.panel)
+    config = EstimatorConfig(rank=1).with_bandwidth_for(dgp.panel)
     overlaps = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

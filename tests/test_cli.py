@@ -100,6 +100,19 @@ class TestOtherCommands:
         assert code == 0
         assert (out / "strength_report.csv").exists()
 
+    def test_select_threshold_does_not_follow_the_penalty(self, tmp_path):
+        # --C is the PEL penalty; the selectors' constant is fixed
+        path = tmp_path / "panel.csv"
+        save_panel(gen_dgp(30, 30, [4, 7, 0]).panel, path)
+        thresholds = []
+        for c in ("0.2", "0.5"):
+            out = tmp_path / f"out-{c}"
+            assert run_cli(["select", "--input", str(path), "--tau", "0.5", "--M", "5",
+                            "--rank", "1", "--C", c, "--out-dir", str(out)]) == 0
+            rows = (out / "strength_report.csv").read_text().splitlines()
+            thresholds.append(dict(zip(rows[0].split(","), rows[1].split(",")))["threshold"])
+        assert thresholds[0] == thresholds[1]
+
     def test_mean_loadings(self, panel_csv, tmp_path):
         path, _ = panel_csv
         out = tmp_path / "out"

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 import ufm.idw as idw
 import ufm.ranksel as ranksel
+import ufm.ufa as ufa
 from conftest import FitOnRead, TracingPanel
 from ufm.errors import ClippedFractionWarning, RankTooLargeError, UfmError
 from ufm.idw import (
@@ -21,7 +22,7 @@ from ufm.idw import (
     raw_inverse_density,
     split_panel,
 )
-from ufm.panel import EstimatorConfig, PanelMatrix, make_quantile_grid
+from ufm.panel import EstimatorConfig, FactorEstimate, PanelMatrix, make_quantile_grid
 from ufm.ranksel import (
     default_rank_threshold,
     pel_fit,
@@ -30,7 +31,7 @@ from ufm.ranksel import (
     warm_start_from_profile,
 )
 from ufm.simlab import adjusted_r2, gen_dgp
-from ufm.ufa import ufa_fit
+from ufm.ufa import parameter_box, ufa_fit
 
 GRID = make_quantile_grid(9, 0.04)
 
@@ -227,7 +228,7 @@ class TestInverseDensityWeights:
 class TestIdwUfa:
     def test_matches_plain_fit_under_unit_weights(self, rng):
         dgp = gen_dgp(16, 16, [13, 1])
-        config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
+        config = EstimatorConfig(rank=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             warm = fit_panel(dgp.panel, GRID, config, weighted=False).ufa
@@ -238,7 +239,7 @@ class TestIdwUfa:
 
     def test_weight_scale_invariance(self, rng):
         dgp = gen_dgp(16, 16, [13, 2])
-        config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
+        config = EstimatorConfig(rank=1)
         w = np.exp(np.random.default_rng(2).normal(size=(9, 16, 16)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -246,6 +247,14 @@ class TestIdwUfa:
             a = ufa_fit(dgp.panel, GRID, config, warm, weights=w)
             b = ufa_fit(dgp.panel, GRID, config, warm, weights=3.7 * w)
         assert np.abs(a.factors - b.factors).max() <= 1e-8
+
+
+def _boxed_warm_start(profile, rank, panel):
+    """The warm start clipped to the box of the panel it starts a fit on."""
+    warm = warm_start_from_profile(profile, rank)
+    lo, hi = parameter_box(panel.values)
+    return FactorEstimate(np.clip(warm.factors, lo, hi), np.clip(warm.loadings, lo, hi),
+                          warm.eigenvalues)
 
 
 def _chain_written_out(panel, grid, config, weighted):
@@ -256,7 +265,7 @@ def _chain_written_out(panel, grid, config, weighted):
                                                                panel.n_cols))
     rank = report.r_hat if config.rank == "auto" else config.rank
     config = config.with_rank(rank)
-    warm = warm_start_from_profile(profile, rank, config.resolved_for(panel))
+    warm = _boxed_warm_start(profile, rank, panel)
     first = ufa_fit(panel, grid, config, init=warm)
     if not weighted:
         return report, first, first, None
@@ -266,8 +275,7 @@ def _chain_written_out(panel, grid, config, weighted):
     for c in (1, 2):
         half = PanelMatrix.from_values(panel.submatrix(split.rows(c),
                                                        np.arange(panel.n_cols)))
-        half_warm = warm_start_from_profile(pel_profile(half, grid), rank,
-                                            cf_config.resolved_for(half))
+        half_warm = _boxed_warm_start(pel_profile(half, grid), rank, half)
         halves[c] = ufa_fit(half, grid, cf_config, init=half_warm).factors
     crossfit = {(a, b): quadrant_crossfit(panel, grid, cf_config, split, halves, a, b)
                 for a in (1, 2) for b in (1, 2)}
@@ -340,11 +348,13 @@ class TestFitPanel:
 
 class TestIndependenceStructure:
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_quadrant_weights_never_read_own_quadrant(self, a, b):
+    def test_quadrant_weights_never_read_own_quadrant(self, a, b, monkeypatch):
+        monkeypatch.setattr(ufa, "_MAX_SWEEPS", 3)
         dgp = gen_dgp(8, 8, [14, a, b])
         grid = make_quantile_grid(9, 0.04)
-        # box unset: the fits' box-bound reads must go through the tracer too
-        config = EstimatorConfig(rank=1, max_outer_iters=3).with_bandwidth_for(dgp.panel)
+        # each fit derives its box from the cells it reads; those reads must
+        # go through the tracer too
+        config = EstimatorConfig(rank=1).with_bandwidth_for(dgp.panel)
         traced = TracingPanel.wrap(dgp.panel)
         split = split_panel(traced)
         halves = FitOnRead(lambda c: _half_factors(traced, grid, config, split.rows(c)))
@@ -356,12 +366,13 @@ class TestIndependenceStructure:
         assert traced.accessed, "tracing recorded no reads at all"
         assert not (traced.accessed & quadrant)
 
-    def test_raw_weights_match_all_rows_reference(self):
+    def test_raw_weights_match_all_rows_reference(self, monkeypatch):
         # reference: loading tables fitted on all N rows, as the estimator
         # once did, restricted to each quadrant's rows afterwards
+        monkeypatch.setattr(ufa, "_MAX_SWEEPS", 3)
         dgp = gen_dgp(10, 12, [14, 9])
         grid = make_quantile_grid(9, 0.04)
-        config = EstimatorConfig(rank=1, max_outer_iters=3).with_bandwidth_for(dgp.panel)
+        config = EstimatorConfig(rank=1).with_bandwidth_for(dgp.panel)
         split = split_panel(dgp.panel)
         levels = grid.all_stencil_levels()
         with warnings.catch_warnings():

@@ -89,7 +89,7 @@ class TestMeanLoadings:
     def test_paper_dgp_mean_loading_small(self):
         dgp = gen_dgp(100, 100, [41, 0])
         grid = make_quantile_grid(9, 0.04)
-        config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
+        config = EstimatorConfig(rank=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = fit_panel(dgp.panel, grid, config, weighted=False).estimate

@@ -17,6 +17,7 @@ from ufm.panel import (
     save_panel,
     single_level_grid,
 )
+from ufm.ufa import parameter_box
 
 
 def _write(tmp_path, text, name="panel.csv"):
@@ -145,9 +146,13 @@ class TestQuantileGrid:
 class TestEstimatorConfig:
     def test_bandwidth_default(self):
         panel = PanelMatrix.from_values(np.random.default_rng(0).normal(size=(30, 40)))
-        config = EstimatorConfig(rank=2).resolved_for(panel)
+        config = EstimatorConfig(rank=2).with_bandwidth_for(panel)
         assert config.bandwidth_h == pytest.approx(30 ** (-1 / 13))
-        assert config.box_bound > np.abs(panel.values).max()
+        y = panel.values
+        lo, hi = parameter_box(y)
+        assert lo == -hi
+        assert hi == 10.0 * max(np.abs(y).max(), 1.0) / min(1.0, y.std())
+        assert hi > np.abs(y).max()
 
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):

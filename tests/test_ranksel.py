@@ -206,7 +206,7 @@ class TestSelectFactors:
         import warnings
 
         dgp = gen_dgp(100, 100, [31, 6])
-        config = EstimatorConfig(rank=1).resolved_for(dgp.panel)
+        config = EstimatorConfig(rank=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = fit_panel(dgp.panel, GRID, config, weighted=False).estimate

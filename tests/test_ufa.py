@@ -5,9 +5,9 @@ from conftest import gauss_legendre_check_loss
 from ufm.errors import RankTooLargeError
 from ufm.idw import fit_panel
 from ufm.kernels import gaussian_kernel
-from ufm.panel import EstimatorConfig, PanelMatrix, make_quantile_grid
+from ufm.panel import EstimatorConfig, FactorEstimate, PanelMatrix, make_quantile_grid
 from ufm.ranksel import pel_profile, warm_start_from_profile
-from ufm.ufa import _factor_step, _loading_step, normalize, ufa_fit
+from ufm.ufa import _factor_step, _loading_step, normalize, parameter_box, ufa_fit
 
 GRID = make_quantile_grid(9, 0.04)
 
@@ -67,7 +67,7 @@ class TestUfaFit:
         noisy = PanelMatrix.from_values(
             panel.values + 0.3 * np.random.default_rng(5).normal(size=(10, 11)))
         config = EstimatorConfig(rank=1)
-        warm = warm_start_from_profile(pel_profile(noisy, GRID), 1, config.resolved_for(noisy))
+        warm = warm_start_from_profile(pel_profile(noisy, GRID), 1)
         a = ufa_fit(noisy, GRID, config, warm)
         b = ufa_fit(noisy, GRID, config, warm)
         assert np.abs(a.factors - b.factors).max() <= 1e-12
@@ -83,11 +83,28 @@ class TestUfaFit:
         noisy = PanelMatrix.from_values(
             panel.values + 0.2 * np.random.default_rng(6).normal(size=(10, 11)))
         config = EstimatorConfig(rank=1)
-        warm = warm_start_from_profile(pel_profile(noisy, GRID), 1, config.resolved_for(noisy))
+        warm = warm_start_from_profile(pel_profile(noisy, GRID), 1)
         plain = ufa_fit(noisy, GRID, config, warm)
         ones = ufa_fit(noisy, GRID, config, warm, weights=np.ones((9, 10, 11)))
         assert np.array_equal(plain.factors, ones.factors)
         assert np.array_equal(plain.loadings, ones.loadings)
+
+    def test_init_is_clipped_to_the_box(self, rng):
+        panel, *_ = _noiseless_panel(rng, 10, 11)
+        noisy = PanelMatrix.from_values(
+            panel.values + 0.2 * np.random.default_rng(7).normal(size=(10, 11)))
+        config = EstimatorConfig(rank=1)
+        warm = warm_start_from_profile(pel_profile(noisy, GRID), 1)
+        lo, hi = parameter_box(noisy.values)
+        wild = np.array(warm.loadings)
+        wild[4, 3, 0] = 5.0 * hi
+        wild[0, 0, 0] = 5.0 * lo
+        beyond = FactorEstimate(warm.factors, wild, warm.eigenvalues)
+        clipped = FactorEstimate(warm.factors, np.clip(wild, lo, hi), warm.eigenvalues)
+        a = ufa_fit(noisy, GRID, config, beyond)
+        b = ufa_fit(noisy, GRID, config, clipped)
+        assert np.array_equal(a.factors, b.factors)
+        assert np.array_equal(a.loadings, b.loadings)
 
 
 class TestObjectiveMonotonicity:
